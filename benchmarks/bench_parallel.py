@@ -1,8 +1,7 @@
 """Serial vs parallel experiment execution, wall clock on the record.
 
-Unlike the pytest-benchmark files next to it, this is a standalone
-harness (``python benchmarks/bench_parallel.py``): it runs the same
-experiment batch through the serial path and through
+A standalone harness (``python benchmarks/bench_parallel.py``): it
+runs the same experiment batch through the serial path and through
 :class:`repro.parallel.ParallelExecutor`, checks the rows came out
 identical (the determinism contract the parallel layer guarantees),
 and writes the measurement to ``BENCH_parallel.json`` at the repo

@@ -98,7 +98,6 @@ from repro.htm import (
     policy_from_name,
 )
 from repro.htm.profiler import AdaptiveDelay, CommitProfiler
-from repro.sim.trace import Tracer
 from repro.synthetic import SyntheticHarness, SyntheticResult, default_policy_suite
 from repro.workloads import (
     BankWorkload,
@@ -184,7 +183,6 @@ __all__ = [
     "GreedyCM",
     "AdaptiveDelay",
     "CommitProfiler",
-    "Tracer",
     "policy_from_name",
     # workloads
     "Workload",

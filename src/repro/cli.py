@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="pool-wide budget of replacement worker processes; once "
-        "spent, remaining experiments run serially in the parent",
+        "spent, remaining experiments (or shards) run serially in the "
+        "parent",
     )
     parser.add_argument(
         "--resume",
@@ -599,68 +600,69 @@ def main(argv: list[str] | None = None) -> int:
             # serial path (also: single experiment with an
             # intra-experiment pool)
             pool = None
-            if args.jobs > 1 and run_ids:
-                from repro.parallel import make_pool
+            if args.jobs > 1:
+                from repro.parallel import RetryPolicy, SupervisedPool
 
-                pool = make_pool(args.jobs)
+                pool = SupervisedPool(
+                    args.jobs,
+                    retry=RetryPolicy(
+                        max_worker_restarts=args.max_worker_restarts
+                    ),
+                )
             snaps: list = []
             events: list = []
-            try:
-                for exp_id in run_ids:
-                    start = time.perf_counter()
-                    try:
-                        with (
-                            obs_capture() if collect else nullcontext()
-                        ) as cap:
-                            result = run_experiment(
-                                exp_id,
-                                quick=args.quick,
-                                seed=args.seed,
-                                timeout=args.timeout,
-                                retries=args.retries,
-                                cache=cache,
-                                pool=pool,
-                            )
-                        if cap is not None:
-                            snaps.append(cap.snapshot())
-                            events.extend(cap.events)
-                    except ReproError as exc:
-                        elapsed = time.perf_counter() - start
-                        failure = {
-                            "exp_id": exp_id,
-                            "error_type": type(exc).__name__,
-                            "error": str(exc),
-                        }
-                        failures.append(failure)
-                        done[exp_id] = {
-                            "status": "failed",
-                            "elapsed_s": round(elapsed, 2),
-                            **{
-                                k: v
-                                for k, v in failure.items()
-                                if k != "exp_id"
-                            },
-                        }
-                        _mark_done(journal, exp_id, done[exp_id])
-                        print(
-                            f"[{exp_id} FAILED after {elapsed:.1f}s: "
-                            f"{type(exc).__name__}: {exc}]\n",
-                            file=sys.stderr,
+            for exp_id in run_ids:
+                start = time.perf_counter()
+                try:
+                    with (
+                        obs_capture() if collect else nullcontext()
+                    ) as cap:
+                        result = run_experiment(
+                            exp_id,
+                            quick=args.quick,
+                            seed=args.seed,
+                            timeout=args.timeout,
+                            retries=args.retries,
+                            cache=cache,
+                            pool=pool,
                         )
-                        if not args.keep_going:
-                            print(render_failures(failures), file=sys.stderr)
-                            return 1
-                        continue
+                    if cap is not None:
+                        snaps.append(cap.snapshot())
+                        events.extend(cap.events)
+                except ReproError as exc:
                     elapsed = time.perf_counter() - start
-                    _emit_result(args, result, elapsed)
+                    failure = {
+                        "exp_id": exp_id,
+                        "error_type": type(exc).__name__,
+                        "error": str(exc),
+                    }
+                    failures.append(failure)
                     done[exp_id] = {
-                        "status": "ok",
+                        "status": "failed",
                         "elapsed_s": round(elapsed, 2),
+                        **{
+                            k: v
+                            for k, v in failure.items()
+                            if k != "exp_id"
+                        },
                     }
                     _mark_done(journal, exp_id, done[exp_id])
-            finally:
-                if pool is not None:
-                    pool.close()
+                    print(
+                        f"[{exp_id} FAILED after {elapsed:.1f}s: "
+                        f"{type(exc).__name__}: {exc}]\n",
+                        file=sys.stderr,
+                    )
+                    if not args.keep_going:
+                        print(render_failures(failures), file=sys.stderr)
+                        return 1
+                    continue
+                elapsed = time.perf_counter() - start
+                _emit_result(args, result, elapsed)
+                done[exp_id] = {
+                    "status": "ok",
+                    "elapsed_s": round(elapsed, 2),
+                }
+                _mark_done(journal, exp_id, done[exp_id])
             if collect:
                 _fold_supervision(parent_cap, snaps, events)
                 _write_obs(args, snaps, events)

@@ -152,10 +152,9 @@ def run_fig3(
     single-seed ordering is noisy (see EXPERIMENTS.md on the bimodal
     panel).
 
-    ``pool`` (an object with ``starmap``, e.g.
-    :class:`repro.parallel.ProcessPool`) fans out one task per
-    *(cell, repeat)* — so ``repeats > 1`` parallelizes inside a cell
-    too; every repeat is seeded from its own ``(n, rep)`` coordinates
+    ``pool`` (a :class:`repro.parallel.SupervisedPool`) fans out one
+    task per *(cell, repeat)* — so ``repeats > 1`` parallelizes inside a
+    cell too; every repeat is seeded from its own ``(n, rep)`` coordinates
     and cells fold their repeats in rep order, so rows are identical
     with or without a pool.  Pooled runs need a picklable
     ``workload_factory`` (the built-in panels use ``functools.partial``).

@@ -59,10 +59,9 @@ def run_ext_regimes(
 ) -> list[dict[str, object]]:
     """One row per B/µ point with each policy's cost normalized to OPT.
 
-    ``pool`` (an object with ``starmap``, e.g.
-    :class:`repro.parallel.ProcessPool`) fans the sweep cells out over
-    worker processes; each cell's stream is derived from its own
-    coordinates, so rows are identical with or without a pool.
+    ``pool`` (a :class:`repro.parallel.SupervisedPool`) fans the sweep
+    cells out over worker processes; each cell's stream is derived from
+    its own coordinates, so rows are identical with or without a pool.
     """
     cells = [(mu, ratio, trials, seed) for ratio in b_over_mu]
     if pool is None:

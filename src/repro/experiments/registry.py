@@ -452,7 +452,7 @@ def run_experiment(
     ``cache`` (a :class:`repro.parallel.ResultCache`) short-circuits
     the run when an entry for this exact invocation exists, and stores
     the rows afterwards otherwise; failures are never cached.  ``pool``
-    (a :class:`repro.parallel.ShardPool`) is handed to runners that
+    (a :class:`repro.parallel.SupervisedPool`) is handed to runners that
     support intra-experiment fan-out (trial shards, sweep cells).
     Neither changes the rows — caching replays them, pooling only
     relocates the computation — and neither appears in the result's

@@ -18,7 +18,7 @@ Usage::
     machine = Machine(MachineParams(), lambda i: RandDelay(), faults=plan)
     machine.load(workload, seed=1)
     stats = machine.run(200_000.0)
-    print(stats.fault_counters)   # {'spurious_aborts': 12, ...}
+    print(stats.fault_counts())   # {'spurious_aborts': 12, ...}
 
 :mod:`repro.faults.chaos` extends the adversary one level up — to the
 *host* the harness runs on: seeded SIGKILL/SIGSTOP of worker

@@ -94,10 +94,6 @@ class Machine:
         # callbacks fired with each committed transaction's duration in
         # cycles (used by the online profiler extension)
         self.commit_observers: list = []
-        # attach a repro.sim.trace.Tracer for event timelines
-        from repro.sim.trace import NullTracer
-
-        self.tracer = NullTracer()
         # waits-for multiset: (waiter_core, holder_core) -> count
         self._waits: dict[tuple[int, int], int] = {}
         # incremental adjacency views of the same multiset (holder ->
@@ -120,10 +116,7 @@ class Machine:
     # ------------------------------------------------------------------
     def emit(self, kind: str, core: int = -1, **detail) -> None:
         """Publish one typed event at the current simulated time to the
-        attached tracer and the process trace bus (both optional; the
-        disabled path is two attribute reads)."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, kind, core, **detail)
+        process trace bus (the disabled path is one attribute read)."""
         if self.bus.enabled:
             self.bus.emit(self.sim.now, kind, core, **detail)
 

@@ -7,8 +7,7 @@ Three coordinated pieces (docs/OBSERVABILITY.md):
   handles when disabled, and deterministic snapshot merging.
 * :mod:`repro.obs.tracebus` — a :class:`TraceBus` of typed
   :class:`ObsEvent` records with JSONL and Chrome ``trace_event``
-  serialization; the legacy per-machine tracer is a sink on the same
-  schema.
+  serialization.
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler` for per-phase wall
   clock and event-loop occupancy in the simulation kernel.
 

@@ -3,9 +3,10 @@
 An :class:`ObsEvent` is a timestamped, typed record with a small
 JSON-able detail dict.  Emitters (the HTM machine, the fault injector,
 the synthetic harness, the result cache, the CLI checkpointer) publish
-to the process's active :class:`TraceBus`; sinks subscribe.  The legacy
-per-machine :class:`repro.sim.trace.Tracer` is one such sink — its
-``TraceEvent`` *is* this class.
+to the process's active :class:`TraceBus`; sinks subscribe.  To record
+one machine's timeline, subscribe a :class:`ListSink` to a bus installed
+with :func:`use_bus` before the machine is built (the machine binds the
+active bus at construction).
 
 Canonical event kinds (full schema in docs/OBSERVABILITY.md):
 
@@ -106,7 +107,7 @@ NO_SIM_TIME = 0.0
 
 @dataclass(frozen=True)
 class ObsEvent:
-    """One timestamped record (also ``repro.sim.trace.TraceEvent``)."""
+    """One timestamped record."""
 
     time: float
     kind: str

@@ -1,22 +1,22 @@
-"""Parallel execution layer: process pools, sharding, result caching.
+"""Parallel execution layer: one process pool, sharding, result caching.
 
-Two levels of fan-out (docs/PERFORMANCE.md):
+:class:`SupervisedPool` (warm workers, heartbeats, bounded restarts,
+degradation to serial) is the only process pool.  It serves two levels
+of fan-out (docs/PERFORMANCE.md):
 
 * **Inter-experiment** — :class:`ParallelExecutor` runs whole
   experiments in worker processes with parent-enforced process-level
   timeouts and single-writer checkpointing
   (``python -m repro all --jobs N``).
-* **Intra-experiment** — :class:`ShardPool` / :func:`make_pool` map
-  trial shards (``SyntheticHarness.run(n_shards=...)``) and sweep
-  cells (``run_fig3(pool=...)``) over workers; per-shard
+* **Intra-experiment** — :meth:`SupervisedPool.starmap` maps trial
+  shards (``SyntheticHarness.run(n_shards=...)``) and sweep cells
+  (``run_fig3(pool=...)``) over workers, in task order; per-shard
   ``SeedSequence`` streams plus ordered ``Welford.merge_all`` keep
   results bit-identical for a fixed ``(seed, n_shards)`` and invariant
-  to the worker count.
+  to the worker count.  ``pool=None`` runs the shards serially.
 
 Plus :class:`ResultCache`, the content-addressed row store keyed on
-``exp_id + kwargs + seed + quick +`` a source-tree fingerprint, and the
-crash-tolerance layer: :class:`SupervisedPool` (warm workers,
-heartbeats, bounded restarts, degradation to serial),
+``exp_id + kwargs + seed + quick +`` a source-tree fingerprint,
 :class:`CheckpointJournal` (append-only fsync'd JSONL with per-record
 checksums and torn-tail recovery), and :class:`RetryPolicy` (the one
 retry/re-execution/restart budget object every path shares).
@@ -41,15 +41,12 @@ from repro.parallel.journal import (
     atomic_write_text,
     recover,
 )
-from repro.parallel.pool import (
-    ProcessPool,
-    SerialPool,
-    ShardPool,
-    best_start_method,
-    make_pool,
-)
 from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.parallel.supervisor import SupervisedPool, SupervisorStats
+from repro.parallel.supervisor import (
+    SupervisedPool,
+    SupervisorStats,
+    best_start_method,
+)
 
 __all__ = [
     "CheckpointJournal",
@@ -58,17 +55,13 @@ __all__ = [
     "ExperimentTask",
     "JournalRecovery",
     "ParallelExecutor",
-    "ProcessPool",
     "ResultCache",
     "RetryPolicy",
-    "SerialPool",
-    "ShardPool",
     "SupervisedPool",
     "SupervisorStats",
     "atomic_write_text",
     "best_start_method",
     "cache_key",
-    "make_pool",
     "recover",
     "scan_cache_dir",
     "source_fingerprint",

@@ -30,29 +30,40 @@ the chaos CI gate can diff a SIGKILL-riddled run against a fault-free
 one.  Supervision events (``worker_crashed``, ``worker_restarted``,
 ``degraded_to_serial``) go to the *parent's* bus and never into the
 per-experiment captures that feed ``--trace-out``.
+
+The same loop serves intra-experiment fan-out: :meth:`SupervisedPool.
+starmap` runs ``fn(*args)`` shards (Monte-Carlo trial shards, Figure 3
+sweep cells, lint files) and returns their results in task order, so a
+sharded computation keeps its crash tolerance and stays bit-identical
+at any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import pickle
 import signal
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
-from repro.errors import InvalidParameterError
+from repro.errors import ExperimentError, InvalidParameterError
+from repro.obs import capture, obs_active
 from repro.obs.metrics import get_registry
-from repro.obs.tracebus import NO_SIM_TIME, get_bus
-from repro.parallel.pool import best_start_method
+from repro.obs.tracebus import NO_SIM_TIME, get_bus, replay
 from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "ExperimentTask",
     "ExperimentOutcome",
+    "ShardTask",
     "SupervisorStats",
     "SupervisedPool",
+    "best_start_method",
     "classify_exit",
 ]
 
@@ -60,6 +71,17 @@ __all__ = [
 DEFAULT_HEARTBEAT_INTERVAL = 0.2
 #: Parent-side silence budget before a worker is declared hung.
 DEFAULT_HEARTBEAT_TIMEOUT = 30.0
+
+
+def best_start_method() -> str:
+    """``fork`` where the platform offers it, else ``spawn``.
+
+    Fork keeps the parent's in-memory experiment registry (including
+    test doubles registered at runtime) visible to workers; spawn-based
+    workers can only run experiments importable from the module tree.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
 @dataclass(frozen=True)
@@ -77,6 +99,45 @@ class ExperimentTask:
     #: run under a fresh obs capture and ship the metric snapshot +
     #: trace events back alongside the result
     collect: bool = False
+
+    def call(self):
+        """The task body: one cached, watchdogged experiment run."""
+        from repro.experiments.registry import run_experiment
+        from repro.parallel.cache import ResultCache
+
+        cache = (
+            ResultCache(self.cache_dir, fingerprint=self.fingerprint)
+            if self.cache_dir
+            else None
+        )
+        return run_experiment(
+            self.exp_id,
+            quick=self.quick,
+            seed=self.seed,
+            timeout=self.timeout,
+            retry=self.retry,
+            cache=cache,
+            **self.overrides,
+        )
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One ``fn(*args)`` call of :meth:`SupervisedPool.starmap`.
+
+    ``exp_id`` is the shard's label (``shard-<index>``): it keys the
+    outcome and the chaos draws exactly as an experiment id does.
+    Workers must take their seed/stream as an explicit argument of
+    ``fn`` — enforced statically by simlint rule DET004.
+    """
+
+    exp_id: str
+    fn: Callable
+    args: tuple
+    collect: bool = False
+
+    def call(self):
+        return self.fn(*self.args)
 
 
 @dataclass
@@ -99,6 +160,9 @@ class ExperimentOutcome:
     exit_cause: str | None = None
     #: total executions this task consumed (1 = no re-execution)
     attempts: int = 1
+    #: the original exception of a failed :class:`ShardTask`, shipped
+    #: back so :meth:`SupervisedPool.starmap` can re-raise it
+    exception: BaseException | None = None
 
     @property
     def ok(self) -> bool:
@@ -145,42 +209,32 @@ def classify_exit(exitcode: int | None) -> str:
     return f"exit:{exitcode}"
 
 
-def _execute_task(task: ExperimentTask) -> tuple[str, object]:
+def _execute_task(task: ExperimentTask | ShardTask) -> tuple[str, object]:
     """Run one task body; every outcome becomes data, never a raise.
 
     Shared by the worker loop and the parent's degraded-serial path, so
     both produce indistinguishable payloads.
     """
-    from contextlib import nullcontext
-
-    from repro.experiments.registry import run_experiment
-    from repro.obs import capture
-    from repro.parallel.cache import ResultCache
-
     try:
-        cache = (
-            ResultCache(task.cache_dir, fingerprint=task.fingerprint)
-            if task.cache_dir
-            else None
-        )
         with (capture() if task.collect else nullcontext()) as cap:
-            result = run_experiment(
-                task.exp_id,
-                quick=task.quick,
-                seed=task.seed,
-                timeout=task.timeout,
-                retry=task.retry,
-                cache=cache,
-                **task.overrides,
-            )
+            result = task.call()
         if cap is not None:
             return "ok", (result, cap.snapshot(), cap.events)
         return "ok", result
     except BaseException as exc:  # simlint: disable=ERR002,ERR003 -- process/serialization boundary: the supervisor re-raises this as a failure outcome; a worker must never die silently
-        return "failed", (type(exc).__name__, str(exc))
+        shipped = _portable(exc) if isinstance(task, ShardTask) else None
+        return "failed", (type(exc).__name__, str(exc), shipped)
 
 
-def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:  # simlint: disable=DET004 -- seeds ride inside each ExperimentTask payload; run_experiment derives every stream from them
+def _portable(exc: BaseException) -> BaseException | None:
+    """``exc`` if it survives the pipe's pickle round trip, else None."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # simlint: disable=ERR002 -- unpicklable exception: the parent falls back to the type name and message
+        return None
+
+
+def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: dict | None) -> None:  # simlint: disable=DET004 -- seeds ride inside each task payload (an ExperimentTask's seed, a ShardTask's args); the task body derives every stream from them
     """Persistent worker loop: recv task, run, send result, repeat.
 
     A side thread heartbeats over the same pipe (send-locked) so the
@@ -232,7 +286,7 @@ def _pool_worker(conn, worker_id: int, heartbeat_interval: float, chaos_config: 
                         task.exp_id,
                         attempt,
                         "failed",
-                        ("ExperimentError", "result could not be pickled"),
+                        ("ExperimentError", "result could not be pickled", None),
                         elapsed,
                     )
                 ):
@@ -255,10 +309,12 @@ class _Worker:
 class SupervisedPool:
     """Spawn-once worker pool with crash/hang supervision.
 
-    ``run`` executes a list of :class:`ExperimentTask` and returns
-    ``{exp_id: ExperimentOutcome}`` for every task that was executed
-    (tasks never started — e.g. after ``stop_on_failure`` — are simply
-    absent).  ``on_outcome`` fires in completion order.
+    ``run`` executes a list of :class:`ExperimentTask` (or
+    :class:`ShardTask`) and returns ``{exp_id: ExperimentOutcome}`` for
+    every task that was executed (tasks never started — e.g. after
+    ``stop_on_failure`` — are simply absent).  ``on_outcome`` fires in
+    completion order.  ``starmap`` is the ordered shard map on the same
+    workers.
     """
 
     def __init__(
@@ -342,13 +398,15 @@ class SupervisedPool:
             budget=self.retry.max_worker_restarts,
         )
 
-    def _shutdown(self) -> None:
+    def _shutdown(self, *, kill: bool = False) -> None:
         for worker in list(self._workers.values()):
             try:
                 worker.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
         for worker in list(self._workers.values()):
+            if kill:
+                worker.proc.kill()
             worker.proc.join(1.0)
             if worker.proc.is_alive():  # pragma: no cover - stuck worker
                 worker.proc.kill()
@@ -359,7 +417,7 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     def run(
         self,
-        tasks: list[ExperimentTask],
+        tasks: list[ExperimentTask] | list[ShardTask],
         *,
         on_outcome=None,
         stop_on_failure: bool = False,
@@ -435,67 +493,116 @@ class SupervisedPool:
         for _ in range(min(self.jobs, len(tasks))):
             self._spawn()
 
-        while pending or delayed or any(
-            w.inflight is not None for w in self._workers.values()
-        ):
-            now = time.monotonic()
-            if delayed:
-                for entry in [d for d in delayed if d[0] <= now]:
-                    delayed.remove(entry)
-                    pending.append((entry[1], entry[2]))
-            if stop_on_failure and failed:
-                pending.clear()
-                delayed.clear()
-            if not self._workers:
-                if work_remaining():
-                    self._degrade(pending, delayed, record, stop_on_failure)
-                break
-            for worker in list(self._workers.values()):
-                if not pending:
+        try:
+            while pending or delayed or any(
+                w.inflight is not None for w in self._workers.values()
+            ):
+                now = time.monotonic()
+                if delayed:
+                    for entry in [d for d in delayed if d[0] <= now]:
+                        delayed.remove(entry)
+                        pending.append((entry[1], entry[2]))
+                if stop_on_failure and failed:
+                    pending.clear()
+                    delayed.clear()
+                if not self._workers:
+                    if work_remaining():
+                        self._degrade(pending, delayed, record, stop_on_failure)
                     break
-                if worker.inflight is None:
-                    task, attempt = pending.popleft()
+                for worker in list(self._workers.values()):
+                    if not pending:
+                        break
+                    if worker.inflight is None:
+                        task, attempt = pending.popleft()
+                        try:
+                            worker.conn.send((task, attempt))
+                        except (BrokenPipeError, OSError):
+                            pending.appendleft((task, attempt))
+                            continue  # the EOF path below reaps it
+                        worker.inflight = (task, attempt, time.monotonic())
+                ready = multiprocessing.connection.wait(
+                    list(self._workers), timeout=self.poll_interval
+                )
+                now = time.monotonic()
+                for conn in ready:
+                    worker = self._workers.get(conn)
+                    if worker is None:
+                        continue
                     try:
-                        worker.conn.send((task, attempt))
-                    except (BrokenPipeError, OSError):
-                        pending.appendleft((task, attempt))
-                        continue  # the EOF path below reaps it
-                    worker.inflight = (task, attempt, time.monotonic())
-            ready = multiprocessing.connection.wait(
-                list(self._workers), timeout=self.poll_interval
-            )
-            now = time.monotonic()
-            for conn in ready:
-                worker = self._workers.get(conn)
-                if worker is None:
-                    continue
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    on_worker_death(worker)
-                    continue
-                if msg[0] == "hb":
-                    worker.last_beat = now
-                elif msg[0] == "done":
-                    _, exp_id, attempt, status, payload, elapsed = msg
-                    task = worker.inflight[0] if worker.inflight else None
-                    worker.inflight = None
-                    worker.last_beat = now
-                    record(
-                        self._outcome_from_payload(
-                            exp_id,
-                            attempt,
-                            status,
-                            payload,
-                            elapsed,
-                            collect=bool(task and task.collect),
+                        msg = conn.recv()
+                    except (EOFError, OSError):
+                        on_worker_death(worker)
+                        continue
+                    if msg[0] == "hb":
+                        worker.last_beat = now
+                    elif msg[0] == "done":
+                        _, exp_id, attempt, status, payload, elapsed = msg
+                        task = worker.inflight[0] if worker.inflight else None
+                        worker.inflight = None
+                        worker.last_beat = now
+                        record(
+                            self._outcome_from_payload(
+                                exp_id,
+                                attempt,
+                                status,
+                                payload,
+                                elapsed,
+                                collect=bool(task and task.collect),
+                            )
                         )
-                    )
-            now = time.monotonic()
-            self._enforce_timeouts(now, record, work_remaining)
-            self._enforce_heartbeats(now, on_worker_death, work_remaining)
+                now = time.monotonic()
+                self._enforce_timeouts(now, record, work_remaining)
+                self._enforce_heartbeats(now, on_worker_death, work_remaining)
+        except BaseException:
+            # an exception in the parent (a watchdog alarm, Ctrl-C)
+            # must not leave orphaned workers computing
+            self._shutdown(kill=True)
+            raise
         self._shutdown()
         return outcomes
+
+    def starmap(self, fn: Callable, tasks: Iterable[Sequence]) -> list:
+        """``[fn(*args) for args in tasks]`` on the workers, in task order.
+
+        Results come back in task order whichever worker finished
+        first, so a sharded reduction that folds them by index is
+        deterministic at any ``jobs``.  Shards get :meth:`run`'s
+        supervision: a shard whose worker dies is re-executed, and an
+        exhausted restart budget degrades to serial.
+
+        When observability is active in the parent (:func:`repro.obs.
+        capture` or an enabled module-level registry/bus), each shard
+        runs under a fresh capture and its metric snapshot and trace
+        events are replayed into the parent's registry/bus **in task
+        order** — so ``jobs`` cannot reorder or lose a count or an
+        event relative to the serial loop.
+
+        A failing shard re-raises its original exception (the
+        lowest-index one when several fail), as the serial loop would;
+        ``run_experiment``'s :class:`~repro.errors.SimulationError`
+        retry therefore fires for pooled runs too.  Supervision events
+        go to the caller's active bus, so they show up in a trace only
+        when a worker actually crashed.
+        """
+        collect = obs_active()
+        shards = [
+            ShardTask(f"shard-{i}", fn, tuple(args), collect)
+            for i, args in enumerate(tasks)
+        ]
+        outcomes = self.run(shards)
+        registry, bus = get_registry(), get_bus()
+        results = []
+        for shard in shards:
+            outcome = outcomes[shard.exp_id]
+            if not outcome.ok:
+                raise outcome.exception or ExperimentError(
+                    f"{outcome.error_type}: {outcome.error}"
+                )
+            if collect:
+                registry.absorb(outcome.metrics)
+                replay(outcome.events, bus)
+            results.append(outcome.result)
+        return results
 
     # ------------------------------------------------------------------
     def _outcome_from_payload(
@@ -515,7 +622,7 @@ class SupervisedPool:
                 events=events,
                 attempts=attempt + 1,
             )
-        error_type, error = payload
+        error_type, error, exception = payload
         return ExperimentOutcome(
             exp_id,
             "failed",
@@ -523,6 +630,7 @@ class SupervisedPool:
             error=error,
             elapsed_s=elapsed,
             attempts=attempt + 1,
+            exception=exception,
         )
 
     def _enforce_timeouts(self, now, record, work_remaining) -> None:

@@ -182,8 +182,8 @@ class SyntheticHarness:
         shard) and combines per-shard accumulators with
         :meth:`Welford.merge_all` **in shard order** — so the result is
         bit-identical for a fixed ``(rng, n_shards)`` whether the
-        shards run serially or on ``pool`` (an object with ``starmap``,
-        e.g. :class:`repro.parallel.ProcessPool`).  Sharded runs need a
+        shards run serially or on ``pool`` (a
+        :class:`repro.parallel.SupervisedPool`).  Sharded runs need a
         seed or ``SeedSequence``, not a live ``Generator``: an opaque
         generator cannot be split into independent streams
         deterministically.

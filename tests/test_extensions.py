@@ -39,6 +39,14 @@ class TestMomentConstraints:
         lp = moment_constrained_ratio(policy, RW, [MomentConstraint(1, 10.0)])
         envelope = constrained_competitive_ratio(policy, RW, 10.0).ratio
         assert lp == pytest.approx(envelope, rel=2e-3)
+        # a larger B on a finer grid
+        rw500 = ConflictModel(ConflictKind.REQUESTOR_WINS, 500.0, 2)
+        policy = MeanConstrainedRW(500.0, 50.0)
+        lp = moment_constrained_ratio(
+            policy, rw500, [MomentConstraint(1, 50.0)], grid=1024
+        )
+        envelope = constrained_competitive_ratio(policy, rw500, 50.0).ratio
+        assert lp == pytest.approx(envelope, rel=5e-3)
 
     def test_variance_tightens_adversary(self):
         """Adding a (finite) variance constraint can only reduce the
@@ -269,6 +277,18 @@ class TestResolutionAblation:
         assert "HYBRID" in resolutions
         assert "GREEDY_CM (global)" in resolutions
         assert all(r["ops"] > 0 for r in result.rows)
+        # the local policies keep up with the global-knowledge baseline
+        cells = {(r["workload"], r["threads"]) for r in result.rows}
+        for workload, threads in cells:
+            ops = {
+                r["resolution"]: r["ops"]
+                for r in result.rows
+                if (r["workload"], r["threads"]) == (workload, threads)
+            }
+            best_local = max(
+                ops["RW (DELAY_RAND)"], ops["RA (NACK)"], ops["HYBRID"]
+            )
+            assert best_local >= 0.9 * ops["GREEDY_CM (global)"]
 
 
 class TestExtensionPanels:
@@ -293,3 +313,7 @@ class TestExtensionPanels:
 
         result = run_experiment("ext_listset", quick=True, seed=1)
         assert len(result.rows) == 2 * 5  # 2 thread points x 5 policies
+        # traversal read sets make graces profitable at 8 threads
+        at8 = {r["policy"]: r["ops"] for r in result.rows if r["threads"] == 8}
+        best_delay = max(at8["DELAY_RAND"], at8["DELAY_RA"], at8["DELAY_HYBRID"])
+        assert best_delay >= 0.95 * at8["NO_DELAY"]

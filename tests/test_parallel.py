@@ -1,5 +1,6 @@
-"""Parallel execution layer: shard pools, the content-addressed result
-cache, the process-level executor, and the CLI's --jobs/--cache wiring.
+"""Parallel execution layer: the supervised pool's ordered shard map,
+the content-addressed result cache, the process-level executor, and the
+CLI's --jobs/--cache wiring.
 
 The load-bearing contract everywhere: rows are a function of
 (experiment, quick, seed, fixed shard count) — never of --jobs, the
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import os
 import threading
 import time
@@ -17,16 +19,20 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import (
+    ExperimentTimeoutError,
+    InvalidParameterError,
+    SimulationError,
+)
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
 from repro.experiments.registry import _SPECS
+from repro.faults import ChaosPlan
+from repro.obs import capture, get_bus, get_registry, jsonl_line
 from repro.parallel import (
     ParallelExecutor,
-    ProcessPool,
     ResultCache,
-    SerialPool,
+    SupervisedPool,
     cache_key,
-    make_pool,
 )
 
 
@@ -52,6 +58,45 @@ def scratch(monkeypatch):
 
 def _square(x):
     return x * x
+
+
+def _metered_square(x):
+    """A shard that counts and traces, for the obs-replay check."""
+    get_registry().counter("squares").inc(x)
+    get_bus().emit(float(x), "commit", x, value=x * x)
+    return x * x
+
+
+def _sleepy_square(x):
+    time.sleep(30)
+    return x * x
+
+
+class _FailOnce:
+    """Shard body raising SimulationError on its first execution only
+    (a marker file survives the worker process boundary)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, x):
+        if not self.path.exists():
+            self.path.write_text("failed\n")
+            raise SimulationError("transient shard fault")
+        return x * x
+
+
+class _ShardedRunner:
+    """Experiment runner that fans its work out over ``pool``."""
+
+    def __init__(self, shard):
+        self.shard = shard
+
+    def __call__(self, pool=None, **kw):
+        tasks = [(i,) for i in range(4)]
+        if pool is None:
+            return [{"x": self.shard(*t)} for t in tasks]
+        return [{"x": x} for x in pool.starmap(self.shard, tasks)]
 
 
 def _rows(**kw):
@@ -118,25 +163,59 @@ def _ckpt_done(path) -> dict:
 
 # ---------------------------------------------------------------------------
 class TestPools:
-    def test_make_pool_serial(self):
-        pool = make_pool(1)
-        assert isinstance(pool, SerialPool)
-        assert pool.starmap(_square, [(i,) for i in range(5)]) == [
-            0, 1, 4, 9, 16,
-        ]
-        pool.close()
-
     def test_process_pool_preserves_order(self):
-        with make_pool(2) as pool:
-            assert isinstance(pool, ProcessPool)
-            out = pool.starmap(_square, [(i,) for i in range(20)])
-        assert out == [i * i for i in range(20)]
+        tasks = [(i,) for i in range(20)]
+        for jobs in (1, 2):
+            assert SupervisedPool(jobs).starmap(_square, tasks) == [
+                i * i for i in range(20)
+            ]
+        assert SupervisedPool(2).starmap(_square, []) == []
+        # under an active capture, worker metrics and events replay in
+        # task order: byte-identical to the serial loop
+        with capture() as serial:
+            expected = [_metered_square(*t) for t in tasks]
+        with capture() as pooled:
+            assert SupervisedPool(2).starmap(_metered_square, tasks) == expected
+        assert pooled.snapshot() == serial.snapshot()
+        assert [jsonl_line(e) for e in pooled.events] == [
+            jsonl_line(e) for e in serial.events
+        ]
 
     def test_jobs_validation(self):
         with pytest.raises(InvalidParameterError):
-            make_pool(0)
+            SupervisedPool(0)
         with pytest.raises(InvalidParameterError):
             ParallelExecutor(0)
+
+    def test_shard_error_is_reraised_and_retried(self, scratch, tmp_path):
+        marker = tmp_path / "failed-once"
+        with pytest.raises(SimulationError, match="transient shard fault"):
+            SupervisedPool(2).starmap(_FailOnce(marker), [(i,) for i in range(4)])
+        # run_experiment's SimulationError retry fires for pooled runs
+        marker.unlink()
+        scratch("zz_shard_retry", _ShardedRunner(_FailOnce(marker)))
+        result = run_experiment("zz_shard_retry", retries=1, pool=SupervisedPool(2))
+        assert result.rows == [{"x": i * i} for i in range(4)]
+
+    def test_parent_exception_reaps_shard_workers(self, scratch):
+        # the watchdog fires in the parent mid-starmap: no shard worker
+        # may outlive it
+        scratch("zz_shard_hang", _ShardedRunner(_sleepy_square))
+        pool = SupervisedPool(2)
+        with pytest.raises(ExperimentTimeoutError):
+            run_experiment("zz_shard_hang", timeout=0.5, pool=pool)
+        assert not pool._workers
+        assert multiprocessing.active_children() == []
+
+    def test_killed_shard_worker_is_reexecuted(self):
+        tasks = [(i,) for i in range(3)]
+        # every shard's first attempt is SIGKILLed, the re-execution is safe
+        pool = SupervisedPool(
+            2, chaos=ChaosPlan(seed=7, kill_rate=1.0, safe_attempt=1)
+        )
+        assert pool.starmap(_square, tasks) == [_square(*t) for t in tasks]
+        assert pool.stats.worker_crashes == len(tasks)
+        assert pool.stats.task_reexecutions == len(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +484,9 @@ class TestShardedHarness:
         dist = ExponentialLengths(500.0)
         harness = SyntheticHarness(2000.0, 500.0)
         serial = harness.run(dist, 4000, seedseq_for(3, "t"), n_shards=4)
-        with make_pool(2) as pool:
-            pooled = harness.run(
-                dist, 4000, seedseq_for(3, "t"), n_shards=4, pool=pool
-            )
+        pooled = harness.run(
+            dist, 4000, seedseq_for(3, "t"), n_shards=4, pool=SupervisedPool(2)
+        )
         for label, acc in serial.stats.items():
             assert pooled.stats[label].mean == acc.mean  # bit-equal
             assert pooled.stats[label].sem == acc.sem

@@ -14,7 +14,6 @@ from repro.core.moments import MomentConstraint, moment_constrained_ratio
 from repro.core.requestor_wins import UniformRW
 from repro.core.verify import competitive_ratio
 from repro.htm.interconnect import MeshTopology
-from repro.sim.trace import Tracer
 from repro.workloads.base import NodePool
 
 
@@ -79,37 +78,6 @@ class TestMomentsProperties:
         both = mean_variance_ratio(policy, model, mu, variance, grid=512)
         assume(not math.isnan(both))
         assert both <= mean_only + 1e-6
-
-
-class TestTracerProperties:
-    @given(
-        st.integers(1, 50),
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6),
-                st.sampled_from(["a", "b", "c"]),
-                st.integers(0, 7),
-            ),
-            max_size=200,
-        ),
-    )
-    @settings(max_examples=100)
-    def test_ring_buffer_keeps_last_capacity(self, capacity, events):
-        tracer = Tracer(capacity=capacity)
-        for t, kind, core in events:
-            tracer.emit(t, kind, core)
-        assert len(tracer) == min(capacity, len(events))
-        kept = tracer.events()
-        expected_tail = events[-len(kept):] if kept else []
-        assert [(e.time, e.kind, e.core) for e in kept] == expected_tail
-
-    @given(st.lists(st.sampled_from(["x", "y", "z"]), max_size=100))
-    @settings(max_examples=50)
-    def test_counts_sum_to_len(self, kinds):
-        tracer = Tracer()
-        for i, kind in enumerate(kinds):
-            tracer.emit(float(i), kind, 0)
-        assert sum(tracer.counts().values()) == len(tracer)
 
 
 class TestNodePoolProperties:

@@ -113,8 +113,10 @@ class TestExperimentEntry:
         assert "ext_throughput" in EXPERIMENTS
         result = run_experiment("ext_throughput", quick=True, seed=2)
         per_attempt = {
-            r["policy"]: r["commits"]
+            r["policy"]: r
             for r in result.rows
             if r["adversary"] == "per_attempt"
         }
-        assert per_attempt["RRW (uniform)"] > per_attempt["NO_DELAY"]
+        rrw, no_delay = per_attempt["RRW (uniform)"], per_attempt["NO_DELAY"]
+        assert rrw["commits"] > no_delay["commits"]
+        assert rrw["mean_gamma"] < no_delay["mean_gamma"]
