@@ -2,8 +2,8 @@
 
 Generates the baseline-plus-one-flip cell set over the chosen workload
 set, executes it through the experiment registry (each cell is the
-experiment ``ablate/<flip>/<workload>``) — in parallel via
-:class:`repro.parallel.ParallelExecutor` when ``--jobs > 1`` — with the
+experiment ``ablate/<flip>/<workload>``) through
+:class:`repro.parallel.ParallelExecutor` at any ``--jobs`` — with the
 content-addressed ``.repro-cache/`` short-circuiting unchanged cells,
 then scores flip importance and writes three artifacts into ``--out``:
 
@@ -111,45 +111,26 @@ def _resolve_flips(arg: str | None) -> list[str]:
 
 def _run_cells(args, ids, overrides, cache_dir):
     """Execute cells; return (rows_by_id, cache_hits) or raise."""
-    from repro.experiments.registry import run_experiment
+    from repro.parallel.executor import ParallelExecutor
 
-    if args.jobs > 1 and len(ids) > 1:
-        from repro.parallel.executor import ParallelExecutor
-
-        executor = ParallelExecutor(
-            args.jobs,
-            quick=args.quick,
-            seed=args.seed,
-            timeout=args.timeout,
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            overrides=overrides,
-        )
-        outcomes = executor.run(list(ids))
-        failed = [o for o in outcomes if o.status != "ok"]
-        if failed:
-            for o in failed:
-                print(
-                    f"[{o.exp_id} {o.status}: {o.error_type}: {o.error}]",
-                    file=sys.stderr,
-                )
-            raise ReproError(f"{len(failed)} ablation cell(s) failed")
-        results = {o.exp_id: o.result for o in outcomes}
-    else:
-        cache = None
-        if cache_dir is not None:
-            from repro.parallel import ResultCache
-
-            cache = ResultCache(cache_dir)
-        results = {}
-        for exp_id in ids:
-            results[exp_id] = run_experiment(
-                exp_id,
-                quick=args.quick,
-                seed=args.seed,
-                timeout=args.timeout,
-                cache=cache,
-                **overrides,
+    executor = ParallelExecutor(
+        args.jobs,
+        quick=args.quick,
+        seed=args.seed,
+        timeout=args.timeout,
+        cache_dir=None if cache_dir is None else str(cache_dir),
+        overrides=overrides,
+    )
+    outcomes = executor.run(list(ids))
+    failed = [o for o in outcomes if o.status != "ok"]
+    if failed:
+        for o in failed:
+            print(
+                f"[{o.exp_id} {o.status}: {o.error_type}: {o.error}]",
+                file=sys.stderr,
             )
+        raise ReproError(f"{len(failed)} ablation cell(s) failed")
+    results = {o.exp_id: o.result for o in outcomes}
     hits = sum(1 for r in results.values() if r.cached)
     return results, hits
 

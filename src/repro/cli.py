@@ -26,11 +26,15 @@ million-client replay harness (docs/SERVING.md).
 
 Parallelism & caching (docs/PERFORMANCE.md):
 
-* ``--jobs N`` with several experiments fans them out to worker
-  processes (ordered reporting, single-writer checkpointing,
-  process-level timeout kills); with a single experiment it hands the
-  runner a shard pool for intra-experiment fan-out.  Rows are
-  invariant to ``--jobs`` — only wall clock changes.
+* Every batch, at any ``--jobs``, runs through one path:
+  :class:`~repro.parallel.ParallelExecutor` on the supervised pool
+  (ordered reporting, single-writer checkpointing, failure records).
+  The pool decides where tasks run.  ``--jobs N`` with several
+  experiments fans them out to worker processes (process-level timeout
+  kills).  ``--jobs 1``, or a single experiment without ``--chaos``,
+  runs in this process; a single experiment at ``--jobs N`` gets a
+  shard pool for intra-experiment fan-out.  Rows are invariant to
+  ``--jobs`` — only wall clock changes.
 * Results are cached content-addressed under ``--cache-dir``
   (default ``.repro-cache``, or ``$REPRO_CACHE_DIR``); any source
   change invalidates every entry.  ``--no-cache`` (or
@@ -38,8 +42,9 @@ Parallelism & caching (docs/PERFORMANCE.md):
 
 Resilience (docs/ROBUSTNESS.md):
 
-* ``--timeout`` arms a per-experiment wall-clock watchdog; under
-  ``--jobs`` the parent also kills overdue worker processes.
+* ``--timeout`` arms a per-experiment wall-clock watchdog; for
+  experiments on worker processes the parent also kills overdue
+  workers.
 * ``--retries`` re-runs an experiment that died with a transient
   :class:`~repro.errors.SimulationError` (timeouts are never retried).
 * ``--keep-going`` records failures and keeps running; the run exits
@@ -65,20 +70,14 @@ Resilience (docs/ROBUSTNESS.md):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
 import sys
-import time
 from contextlib import nullcontext
 
-from repro.errors import ReproError
-from repro.experiments import (
-    EXPERIMENTS,
-    render_failures,
-    render_result,
-    run_experiment,
-)
+from repro.experiments import EXPERIMENTS, render_failures, render_result
 from repro.obs import capture as obs_capture
 
 __all__ = ["main", "build_parser"]
@@ -274,13 +273,6 @@ def _open_journal(args: argparse.Namespace, ckpt_path: pathlib.Path):
     return journal
 
 
-def _mark_done(journal, exp_id: str, entry: dict) -> None:
-    """Durably record one experiment's final status (no-op without a
-    journal)."""
-    if journal is not None:
-        journal.mark_done(exp_id, entry)
-
-
 def _emit_result(args: argparse.Namespace, result, elapsed: float) -> None:
     """Print one completed experiment and write its --out artifacts."""
     text = render_result(result)
@@ -363,23 +355,22 @@ def _fold_supervision(parent_cap, snaps: list, events: list) -> None:
         snaps.append({"counters": counters, "gauges": {}, "histograms": {}})
 
 
-def _run_parallel(
+def _run_batch(
     args: argparse.Namespace,
     ids: list[str],
     cache,
     journal,
-    done: dict[str, dict],
-    failures: list[dict[str, object]],
     *,
     collect: bool = False,
 ):
-    """Fan ``ids`` out over the supervised worker pool.
+    """Run ``ids`` through the supervised executor, at any ``--jobs``.
 
-    The parent stays the only checkpoint writer: per-experiment
-    ``done`` records land in completion order (fsync'd journal
-    appends), while results are *emitted* in submission order so the
-    report reads like the serial run.  Returns ``(outcomes,
-    supervisor stats)``.
+    At ``--jobs 1``, or for one id without ``--chaos``, the executor
+    runs them in this process; otherwise it fans them out over workers.
+    The parent stays the only checkpoint writer: per-experiment records
+    land in completion order (fsync'd journal appends), while results
+    are *emitted* in submission order so the report reads the same at
+    any ``--jobs``.  Returns ``(outcomes, failures)``.
     """
     from repro.parallel import ParallelExecutor, RetryPolicy
 
@@ -394,10 +385,8 @@ def _run_parallel(
         if retry.max_task_reexecutions < chaos.safe_attempt:
             # chaos is suppressed from safe_attempt on; the budget must
             # reach it or a chaosed task could fail before its safe run
-            retry = RetryPolicy(
-                retries=retry.retries,
-                max_task_reexecutions=chaos.safe_attempt,
-                max_worker_restarts=retry.max_worker_restarts,
+            retry = dataclasses.replace(
+                retry, max_task_reexecutions=chaos.safe_attempt
             )
     executor = ParallelExecutor(
         args.jobs,
@@ -410,6 +399,7 @@ def _run_parallel(
         collect=collect,
         chaos=chaos,
     )
+    failures: list[dict[str, object]] = []
     buffered: dict[str, object] = {}
     emit_order = list(ids)
 
@@ -428,12 +418,11 @@ def _run_parallel(
     def on_complete(outcome) -> None:
         # completion order: checkpoint first, so a kill right here loses
         # at most the in-flight experiments, never a finished one
-        if outcome.ok:
-            done[outcome.exp_id] = {
-                "status": "ok",
-                "elapsed_s": round(outcome.elapsed_s, 2),
-            }
-        else:
+        entry = {
+            "status": "ok" if outcome.ok else "failed",
+            "elapsed_s": round(outcome.elapsed_s, 2),
+        }
+        if not outcome.ok:
             failure = {
                 "exp_id": outcome.exp_id,
                 "error_type": outcome.error_type,
@@ -443,12 +432,9 @@ def _run_parallel(
                 # the real reason the worker died (signal/exit/timeout)
                 failure["exit_cause"] = outcome.exit_cause
             failures.append(failure)
-            done[outcome.exp_id] = {
-                "status": "failed",
-                "elapsed_s": round(outcome.elapsed_s, 2),
-                **{k: v for k, v in failure.items() if k != "exp_id"},
-            }
-        _mark_done(journal, outcome.exp_id, done[outcome.exp_id])
+            entry.update((k, v) for k, v in failure.items() if k != "exp_id")
+        if journal is not None:
+            journal.mark_done(outcome.exp_id, entry)
         buffered[outcome.exp_id] = outcome
         flush()
 
@@ -469,7 +455,7 @@ def _run_parallel(
             f"{k}={v}" for k, v in stats.as_dict().items() if v
         )
         print(f"[supervisor: {summary}]", file=sys.stderr)
-    return outcomes, stats
+    return outcomes, failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -568,7 +554,6 @@ def main(argv: list[str] | None = None) -> int:
                 if args.resume:
                     done = journal.done_map()
 
-            failures: list[dict[str, object]] = []
             run_ids: list[str] = []
             for exp_id in ids:
                 if args.resume and done.get(exp_id, {}).get("status") == "ok":
@@ -576,94 +561,12 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 run_ids.append(exp_id)
 
-            # chaos forces the supervised-executor path even for a
-            # single experiment: it is the layer that survives the kills
-            if args.jobs > 1 and (len(run_ids) > 1 or args.chaos is not None):
-                outcomes, _ = _run_parallel(
-                    args, run_ids, cache, journal, done, failures,
-                    collect=collect,
-                )
-                if collect:
-                    snaps = [
-                        o.metrics for o in outcomes if o.metrics is not None
-                    ]
-                    events = [
-                        e for o in outcomes if o.events for e in o.events
-                    ]
-                    _fold_supervision(parent_cap, snaps, events)
-                    _write_obs(args, snaps, events)
-                if failures:
-                    print(render_failures(failures), file=sys.stderr)
-                    return 1
-                return 0
-
-            # serial path (also: single experiment with an
-            # intra-experiment pool)
-            pool = None
-            if args.jobs > 1:
-                from repro.parallel import RetryPolicy, SupervisedPool
-
-                pool = SupervisedPool(
-                    args.jobs,
-                    retry=RetryPolicy(
-                        max_worker_restarts=args.max_worker_restarts
-                    ),
-                )
-            snaps: list = []
-            events: list = []
-            for exp_id in run_ids:
-                start = time.perf_counter()
-                try:
-                    with (
-                        obs_capture() if collect else nullcontext()
-                    ) as cap:
-                        result = run_experiment(
-                            exp_id,
-                            quick=args.quick,
-                            seed=args.seed,
-                            timeout=args.timeout,
-                            retries=args.retries,
-                            cache=cache,
-                            pool=pool,
-                        )
-                    if cap is not None:
-                        snaps.append(cap.snapshot())
-                        events.extend(cap.events)
-                except ReproError as exc:
-                    elapsed = time.perf_counter() - start
-                    failure = {
-                        "exp_id": exp_id,
-                        "error_type": type(exc).__name__,
-                        "error": str(exc),
-                    }
-                    failures.append(failure)
-                    done[exp_id] = {
-                        "status": "failed",
-                        "elapsed_s": round(elapsed, 2),
-                        **{
-                            k: v
-                            for k, v in failure.items()
-                            if k != "exp_id"
-                        },
-                    }
-                    _mark_done(journal, exp_id, done[exp_id])
-                    print(
-                        f"[{exp_id} FAILED after {elapsed:.1f}s: "
-                        f"{type(exc).__name__}: {exc}]\n",
-                        file=sys.stderr,
-                    )
-                    if not args.keep_going:
-                        print(render_failures(failures), file=sys.stderr)
-                        return 1
-                    continue
-                elapsed = time.perf_counter() - start
-                _emit_result(args, result, elapsed)
-                done[exp_id] = {
-                    "status": "ok",
-                    "elapsed_s": round(elapsed, 2),
-                }
-                _mark_done(journal, exp_id, done[exp_id])
+            outcomes, failures = _run_batch(
+                args, run_ids, cache, journal, collect=collect
+            )
             if collect:
+                snaps = [o.metrics for o in outcomes if o.metrics is not None]
+                events = [e for o in outcomes if o.events for e in o.events]
                 _fold_supervision(parent_cap, snaps, events)
                 _write_obs(args, snaps, events)
             if failures:

@@ -27,7 +27,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.ablation.runner import run_ablate_rank
 from repro.errors import ExperimentError, ExperimentTimeoutError, SimulationError
@@ -43,6 +43,9 @@ from repro.experiments import (
     tables,
     throughput,
 )
+
+if TYPE_CHECKING:
+    from repro.parallel.retry import RetryPolicy
 
 __all__ = [
     "ExperimentResult",
@@ -429,9 +432,7 @@ def run_experiment(
     quick: bool = False,
     seed: int | None = None,
     timeout: float | None = None,
-    retries: int = 0,
-    retry_backoff: float = 0.05,
-    retry=None,
+    retry: RetryPolicy | None = None,
     cache=None,
     pool=None,
     **overrides,
@@ -445,9 +446,10 @@ def run_experiment(
     execution path shares) re-runs the experiment with exponential
     backoff when it dies with a transient
     :class:`~repro.errors.SimulationError` — the failure mode injected
-    faults produce.  ``retries`` / ``retry_backoff`` are the legacy
-    spelling and build an equivalent policy when no ``retry`` is given.
-    Timeouts, bad parameters, and unknown ids are never retried.
+    faults produce.  Timeouts, bad parameters, and unknown ids are
+    never retried.  ``retry=None`` means ``DEFAULT_RETRY_POLICY``,
+    imported on first use so that loading the registry does not load
+    the process-pool layer.
 
     ``cache`` (a :class:`repro.parallel.ResultCache`) short-circuits
     the run when an entry for this exact invocation exists, and stores
@@ -463,11 +465,9 @@ def run_experiment(
         known = ", ".join(sorted(_SPECS))
         raise ExperimentError(f"unknown experiment {exp_id!r}; known: {known}")
     if retry is None:
-        if retries < 0:
-            raise ExperimentError(f"retries must be >= 0, got {retries}")
-        from repro.parallel.retry import RetryPolicy
+        from repro.parallel.retry import DEFAULT_RETRY_POLICY
 
-        retry = RetryPolicy(retries=retries, backoff_base=retry_backoff)
+        retry = DEFAULT_RETRY_POLICY
     sig_params = inspect.signature(spec.runner).parameters
     kwargs = dict(spec.quick_kwargs if quick else spec.full_kwargs)
     kwargs.update(overrides)

@@ -1,14 +1,14 @@
-"""Inter-experiment process-pool executor.
+"""The batch executor: every ``python -m repro <ids>`` run goes here.
 
-``python -m repro all --jobs N`` dispatches independent experiments to
-worker processes.  Since the supervised-pool rework the heavy lifting
-lives in :mod:`repro.parallel.supervisor`; this module keeps the
-CLI-facing :class:`ParallelExecutor` surface stable:
+:class:`ParallelExecutor` turns experiment ids into supervised tasks;
+the heavy lifting lives in :mod:`repro.parallel.supervisor`.  At
+``--jobs 1``, or for a single id without chaos, the pool runs the tasks
+in the parent (a lone id at ``--jobs N`` gets a shard pool); otherwise:
 
 * **Workers** run :func:`repro.experiments.run_experiment` — each in
   the *main thread of its own process*, so the ``SIGALRM`` watchdog is
   fully armed there (the worker's heartbeat thread is a side thread;
-  the task body stays on the main thread).  Workers are now *warm*:
+  the task body stays on the main thread).  Workers are *warm*:
   spawned once per run and fed tasks over their pipes until the queue
   drains.
 * **The parent** owns every side effect: it is the single writer of
@@ -19,7 +19,7 @@ CLI-facing :class:`ParallelExecutor` surface stable:
   execution when the restart budget runs out.
 
 Determinism: a worker computes rows with exactly the same
-``run_experiment`` call the serial path uses, and nothing about
+``run_experiment`` call the in-parent path uses, and nothing about
 scheduling (or supervision — re-execution reruns the same seeded body)
 feeds the computation, so rows are invariant to ``--jobs`` and to any
 chaos schedule that lets the run complete.  Results are *reported* in
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.parallel.retry import RetryPolicy
+from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.parallel.supervisor import (
     ExperimentOutcome,
     ExperimentTask,
@@ -41,14 +41,14 @@ __all__ = ["ExperimentTask", "ExperimentOutcome", "ParallelExecutor"]
 
 
 class ParallelExecutor:
-    """Fan ``exp_ids`` out over a supervised pool of ``jobs`` workers.
+    """Run ``exp_ids`` on a supervised pool of ``jobs`` workers.
 
-    Parameters mirror the serial CLI path; ``kill_grace`` is the slack
-    after ``timeout`` before the parent stops trusting the in-worker
-    watchdog and kills the process itself.  ``retries`` builds a
-    :class:`~repro.parallel.retry.RetryPolicy` for callers that predate
-    it; pass ``retry`` to control crash re-execution and the worker
-    restart budget too.
+    ``quick``/``seed``/``timeout``/``overrides`` are forwarded to every
+    :func:`~repro.experiments.run_experiment` call, and ``retry`` sets
+    its ``SimulationError`` retries, crash re-execution and the worker
+    restart budget.  ``kill_grace`` is the slack after ``timeout``
+    before the parent stops trusting the in-worker watchdog and kills
+    the process itself.
     """
 
     def __init__(
@@ -58,8 +58,7 @@ class ParallelExecutor:
         quick: bool = False,
         seed: int | None = None,
         timeout: float | None = None,
-        retries: int = 0,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
         cache_dir: str | None = None,
         fingerprint: str | None = None,
         overrides: dict | None = None,
@@ -74,7 +73,7 @@ class ParallelExecutor:
         self.quick = quick
         self.seed = seed
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy(retries=retries)
+        self.retry = retry
         self.cache_dir = cache_dir
         self.fingerprint = fingerprint
         self.overrides = dict(overrides or {})

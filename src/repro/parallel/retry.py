@@ -1,9 +1,6 @@
 """One retry/backoff policy shared by every execution path.
 
-Before this module each layer carried its own ad-hoc knobs: the serial
-runner had ``retries`` + ``retry_backoff``, the parallel executor
-forwarded them, and worker-crash recovery did not exist at all.  A
-:class:`RetryPolicy` is the single picklable object threaded through
+A :class:`RetryPolicy` is the single picklable object threaded through
 :func:`repro.experiments.run_experiment`, the
 :class:`~repro.parallel.executor.ParallelExecutor`, and the
 :class:`~repro.parallel.supervisor.SupervisedPool`:
@@ -12,8 +9,8 @@ forwarded them, and worker-crash recovery did not exist at all.  A
   re-runs after a transient :class:`~repro.errors.SimulationError`
   (exponential backoff; timeouts are never retried).
 * ``max_task_reexecutions`` — how often a task whose *worker process*
-  died (SIGKILL, OOM, chaos) is handed to a fresh worker before it is
-  recorded as failed.
+  died (SIGKILL, OOM, chaos) is handed to a fresh worker, after the
+  same exponential backoff, before it is recorded as failed.
 * ``max_worker_restarts`` / ``restart_backoff`` — the pool-wide budget
   of replacement workers; once exhausted the supervisor degrades to
   serial in-parent execution instead of spawning forever.
@@ -68,12 +65,10 @@ class RetryPolicy:
 
     # ------------------------------------------------------------------
     def attempt_backoff(self, attempt: int) -> float:
-        """Sleep before in-process retry number ``attempt`` (0-based)."""
+        """Sleep before retry or re-execution number ``attempt`` (0-based):
+        an in-process retry after a ``SimulationError`` and a re-dispatch
+        of a task whose worker crashed back off alike."""
         return self.backoff_base * self.backoff_factor**attempt
-
-    def reexecution_backoff(self, reexecution: int) -> float:
-        """Sleep before re-dispatching a crashed task (0-based count)."""
-        return self.backoff_base * self.backoff_factor**reexecution
 
     def restart_delay(self, restart: int) -> float:
         """Sleep before spawning replacement worker number ``restart``."""

@@ -22,6 +22,12 @@ ParallelExecutor`:
   with work remaining, the supervisor runs the rest *serially in the
   parent* (``degraded_to_serial``) — a chaotic host can slow a run
   down, never wedge or lose it.
+* **In-parent rule** — at ``jobs == 1``, or for a single task with no
+  chaos plan, no worker is spawned: the tasks run in the parent through
+  the same code as the degraded path.  A lone experiment at
+  ``jobs > 1`` gets a shard pool of ``jobs`` workers instead.  Every
+  caller (the CLI, ``repro ablate``, shard ``starmap``) therefore makes
+  one call whatever ``jobs`` is.
 
 Determinism: supervision decides only *where and how often* a task body
 executes; the body itself is :func:`repro.experiments.run_experiment`
@@ -100,8 +106,9 @@ class ExperimentTask:
     #: trace events back alongside the result
     collect: bool = False
 
-    def call(self):
-        """The task body: one cached, watchdogged experiment run."""
+    def call(self, pool=None):
+        """The task body: one cached, watchdogged experiment run;
+        ``pool`` is the shard pool a lone in-parent experiment gets."""
         from repro.experiments.registry import run_experiment
         from repro.parallel.cache import ResultCache
 
@@ -117,6 +124,7 @@ class ExperimentTask:
             timeout=self.timeout,
             retry=self.retry,
             cache=cache,
+            pool=pool,
             **self.overrides,
         )
 
@@ -209,18 +217,24 @@ def classify_exit(exitcode: int | None) -> str:
     return f"exit:{exitcode}"
 
 
-def _execute_task(task: ExperimentTask | ShardTask) -> tuple[str, object]:
+def _execute_task(
+    task: ExperimentTask | ShardTask, pool=None, *, reraise: tuple = ()
+) -> tuple[str, object]:
     """Run one task body; every outcome becomes data, never a raise.
 
-    Shared by the worker loop and the parent's degraded-serial path, so
-    both produce indistinguishable payloads.
+    Shared by the worker loop and the parent's in-process path, so both
+    produce indistinguishable payloads.  Only the ``reraise`` types
+    escape: the parent passes Ctrl-C and ``SystemExit`` so they stop
+    the run instead of failing one task.
     """
     try:
         with (capture() if task.collect else nullcontext()) as cap:
-            result = task.call()
+            result = task.call() if pool is None else task.call(pool)
         if cap is not None:
             return "ok", (result, cap.snapshot(), cap.events)
         return "ok", result
+    except reraise:
+        raise
     except BaseException as exc:  # simlint: disable=ERR002,ERR003 -- process/serialization boundary: the supervisor re-raises this as a failure outcome; a worker must never die silently
         shipped = _portable(exc) if isinstance(task, ShardTask) else None
         return "failed", (type(exc).__name__, str(exc), shipped)
@@ -314,7 +328,8 @@ class SupervisedPool:
     every task that was executed (tasks never started — e.g. after
     ``stop_on_failure`` — are simply absent).  ``on_outcome`` fires in
     completion order.  ``starmap`` is the ordered shard map on the same
-    workers.
+    workers.  At ``jobs == 1``, or for one task without chaos, ``run``
+    spawns nothing and executes in the parent (see the module notes).
     """
 
     def __init__(
@@ -436,6 +451,20 @@ class SupervisedPool:
             if on_outcome is not None:
                 on_outcome(outcome)
 
+        if self.jobs == 1 or (len(tasks) == 1 and self.chaos is None):
+            # a worker buys nothing here; a lone experiment keeps the
+            # workers for its own shards.  Chaos targets workers, so a
+            # chaosed lone task still gets one.
+            pool = None
+            if self.jobs > 1 and isinstance(tasks[0], ExperimentTask):
+                pool = SupervisedPool(
+                    self.jobs,
+                    retry=self.retry,
+                    start_method=self._ctx.get_start_method(),
+                )
+            self._run_in_parent(pending, record, stop_on_failure, pool)
+            return outcomes
+
         def work_remaining() -> bool:
             return bool(pending or delayed)
 
@@ -480,7 +509,7 @@ class SupervisedPool:
                     get_registry().counter("task_reexecutions").inc()
                     delayed.append(
                         (
-                            now + self.retry.reexecution_backoff(attempt),
+                            now + self.retry.attempt_backoff(attempt),
                             task,
                             attempt + 1,
                         )
@@ -710,9 +739,21 @@ class SupervisedPool:
             remaining=len(remaining),
             restarts_used=self._restarts_used,
         )
-        for task, attempt in remaining:
+        self._run_in_parent(remaining, record, stop_on_failure)
+
+    def _run_in_parent(self, queue, record, stop_on_failure, pool=None) -> None:
+        """Run ``(task, attempt)`` pairs one by one in this process.
+
+        A task that raises becomes a failed outcome, as in a worker;
+        Ctrl-C and ``SystemExit`` propagate, and :meth:`run` reaps any
+        workers on the way out.  ``pool`` goes to each
+        :class:`ExperimentTask` for its shards.
+        """
+        for task, attempt in queue:
             start = time.monotonic()
-            status, payload = _execute_task(task)
+            status, payload = _execute_task(
+                task, pool, reraise=(KeyboardInterrupt, SystemExit)
+            )
             outcome = self._outcome_from_payload(
                 task.exp_id,
                 attempt,

@@ -216,9 +216,10 @@ class TestSupervisedPool:
         the outcome reports the classified cause."""
         exp_id = scratch("zz_chaos_die", _die)
         executor = ParallelExecutor(
-            1, retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0)
+            2, retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0)
         )
-        (outcome,) = executor.run([exp_id])
+        # a second task keeps the dying one off the in-parent path
+        outcome, _ = executor.run([exp_id, scratch("zz_chaos_ok", _rows)])
         assert outcome.status == "failed"
         assert outcome.exit_cause == "exit:3"
         assert outcome.attempts == 2  # original + 1 re-execution
@@ -254,7 +255,7 @@ class TestSupervisedPool:
         ids = [scratch(f"zz_dg{i}", runner) for i in range(4)]
         plan = ChaosPlan(seed=3, kill_rate=1.0, safe_attempt=1)
         executor = ParallelExecutor(
-            1,
+            2,
             seed=5,
             retry=RetryPolicy(
                 max_task_reexecutions=1,
@@ -280,7 +281,7 @@ class TestSupervisedPool:
         exp_id = scratch("zz_stop", runner)
         plan = ChaosPlan(seed=2, kill_rate=0.0, stop_rate=1.0, safe_attempt=1)
         executor = ParallelExecutor(
-            1,
+            2,
             seed=1,
             retry=RetryPolicy(max_task_reexecutions=1, restart_backoff=0.0),
             chaos=plan,

@@ -31,9 +31,11 @@ from repro.obs import capture, get_bus, get_registry, jsonl_line
 from repro.parallel import (
     ParallelExecutor,
     ResultCache,
+    RetryPolicy,
     SupervisedPool,
     cache_key,
 )
+from repro.parallel.supervisor import ShardTask
 
 
 @pytest.fixture
@@ -147,6 +149,23 @@ class _MarkingRunner:
         return [{"x": 1}]
 
 
+def _pid_rows(**kw):
+    return [{"pid": os.getpid()}]
+
+
+def _shard_pid(i):
+    return os.getpid()
+
+
+def _pid_sharded(pool=None, **kw):
+    """Reports the process it ran in and those its shards ran in."""
+    return [{"pid": os.getpid(), "shards": pool.starmap(_shard_pid, [(0,), (1,)])}]
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
 def _runs(path) -> int:
     try:
         return path.read_text().count("run")
@@ -194,7 +213,9 @@ class TestPools:
         # run_experiment's SimulationError retry fires for pooled runs
         marker.unlink()
         scratch("zz_shard_retry", _ShardedRunner(_FailOnce(marker)))
-        result = run_experiment("zz_shard_retry", retries=1, pool=SupervisedPool(2))
+        result = run_experiment(
+            "zz_shard_retry", retry=RetryPolicy(retries=1), pool=SupervisedPool(2)
+        )
         assert result.rows == [{"x": i * i} for i in range(4)]
 
     def test_parent_exception_reaps_shard_workers(self, scratch):
@@ -302,9 +323,11 @@ class TestExecutor:
         assert all(o.ok for o in outcomes)
         assert outcomes[1].result.rows == [{"x": 1}]
 
+    # a lone task at jobs=2 would run in the parent (see TestInParent),
+    # so the worker-only tests below add a trivial second task
     def test_worker_crash_reported_not_hung(self, scratch):
         exp_id = scratch("zz_die", _die)
-        (outcome,) = ParallelExecutor(1).run([exp_id])
+        outcome, _ = ParallelExecutor(2).run([exp_id, scratch("zz_die_ok", _rows)])
         assert outcome.status == "failed"
         assert "exited without a result" in outcome.error
         assert "exit code 3" in outcome.error
@@ -312,8 +335,8 @@ class TestExecutor:
     def test_in_worker_watchdog_fires(self, scratch):
         """Workers run on their own main thread, so SIGALRM is armed."""
         exp_id = scratch("zz_hang", _hang)
-        (outcome,) = ParallelExecutor(1, timeout=0.2, kill_grace=5.0).run(
-            [exp_id]
+        outcome, _ = ParallelExecutor(2, timeout=0.2, kill_grace=5.0).run(
+            [exp_id, scratch("zz_hang_ok", _rows)]
         )
         assert outcome.error_type == "ExperimentTimeoutError"
         assert "killed by the parent" not in outcome.error
@@ -323,8 +346,8 @@ class TestExecutor:
         to hang forever; the parent must kill the worker process."""
         exp_id = scratch("zz_stubborn", _stubborn_hang)
         start = time.monotonic()
-        (outcome,) = ParallelExecutor(1, timeout=0.3, kill_grace=0.3).run(
-            [exp_id]
+        outcome, _ = ParallelExecutor(2, timeout=0.3, kill_grace=0.3).run(
+            [exp_id, scratch("zz_stubborn_ok", _rows)]
         )
         assert time.monotonic() - start < 10.0
         assert outcome.status == "failed"
@@ -338,6 +361,52 @@ class TestExecutor:
             ["zz_f1", "zz_ok1"], stop_on_failure=True
         )
         assert [o.status for o in outcomes] == ["failed", "skipped"]
+
+
+# ---------------------------------------------------------------------------
+class TestInParent:
+    """The pool, not its callers, decides parent vs workers."""
+
+    def test_jobs_one_spawns_no_worker(self, scratch):
+        ids = [scratch("zz_pid_a", _pid_rows), scratch("zz_pid_b", _pid_rows)]
+        outcomes = ParallelExecutor(1).run(ids)
+        assert [o.result.rows for o in outcomes] == [[{"pid": os.getpid()}]] * 2
+        assert SupervisedPool(1).starmap(_shard_pid, [(0,), (1,)]) == [
+            os.getpid()
+        ] * 2
+
+    def test_lone_task_in_parent_shards_on_workers(self, scratch):
+        exp_id = scratch("zz_pid_sharded", _pid_sharded)
+        (outcome,) = ParallelExecutor(2).run([exp_id])
+        (row,) = outcome.result.rows
+        assert row["pid"] == os.getpid()
+        assert len(row["shards"]) == 2
+        assert os.getpid() not in row["shards"]
+
+    def test_lone_task_with_chaos_runs_on_worker(self, scratch):
+        exp_id = scratch("zz_pid_chaos", _pid_rows)
+        (outcome,) = ParallelExecutor(
+            2, chaos=ChaosPlan(seed=1, kill_rate=0.0)
+        ).run([exp_id])
+        assert outcome.ok
+        assert outcome.result.rows[0]["pid"] != os.getpid()
+
+    def test_ctrl_c_in_parent_propagates(self):
+        with pytest.raises(KeyboardInterrupt):
+            SupervisedPool(1).run([ShardTask("shard-0", _interrupt, ())])
+
+    def test_ctrl_c_on_degraded_path_propagates(self):
+        # the lone worker is SIGKILLed, no replacement is allowed, so the
+        # re-execution lands on the parent's degraded path
+        pool = SupervisedPool(
+            2,
+            retry=RetryPolicy(max_worker_restarts=0, restart_backoff=0.0),
+            chaos=ChaosPlan(seed=1, kill_rate=1.0),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            pool.run([ShardTask("shard-0", _interrupt, ())])
+        assert pool.stats.degraded_to_serial == 1
+        assert not pool._workers
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from repro.cli import main
 from repro.errors import (
     ExperimentError,
     ExperimentTimeoutError,
+    InvalidParameterError,
     SimulationError,
 )
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
+from repro.parallel import RetryPolicy
 
 
 @pytest.fixture
@@ -46,6 +48,10 @@ def _ckpt_done(path) -> dict:
     from repro.parallel import recover
 
     return recover(path, truncate=False).done_map()
+
+
+def _fast_retry(retries: int) -> RetryPolicy:
+    return RetryPolicy(retries=retries, backoff_base=0.001)
 
 
 def _hang(**kw):  # killed only by the watchdog
@@ -91,7 +97,7 @@ class TestWatchdog:
 
         exp_id = scratch("zz_hang_retry", hang)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, timeout=0.2, retries=3)
+            run_experiment(exp_id, timeout=0.2, retry=RetryPolicy(retries=3))
         assert len(calls) == 1
 
     def test_fast_experiment_unaffected(self, scratch):
@@ -121,7 +127,7 @@ class TestRetries:
             return [{"ok": True}]
 
         exp_id = scratch("zz_flaky", flaky)
-        result = run_experiment(exp_id, retries=3, retry_backoff=0.001)
+        result = run_experiment(exp_id, retry=_fast_retry(3))
         assert result.rows == [{"ok": True}]
         assert len(calls) == 3
 
@@ -134,7 +140,7 @@ class TestRetries:
 
         exp_id = scratch("zz_broken", broken)
         with pytest.raises(SimulationError):
-            run_experiment(exp_id, retries=1, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast_retry(1))
         assert len(calls) == 2
 
     def test_no_retries_by_default(self, scratch):
@@ -151,8 +157,9 @@ class TestRetries:
 
     def test_negative_retries_rejected(self, scratch):
         exp_id = scratch("zz_neg", _rows)
-        with pytest.raises(ExperimentError):
-            run_experiment(exp_id, retries=-1)
+        # the policy, not run_experiment, now validates the budget
+        with pytest.raises(InvalidParameterError):
+            run_experiment(exp_id, retry=RetryPolicy(retries=-1))
 
     def test_engine_raised_timeout_never_retried(self, scratch):
         """The watchdog contract (simlint ERR rules): a timeout raised
@@ -167,7 +174,7 @@ class TestRetries:
 
         exp_id = scratch("zz_engine_to", deadline)
         with pytest.raises(ExperimentTimeoutError):
-            run_experiment(exp_id, retries=5, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast_retry(5))
         assert len(calls) == 1
 
     def test_keyboard_interrupt_propagates_unretried(self, scratch):
@@ -181,7 +188,7 @@ class TestRetries:
 
         exp_id = scratch("zz_intr", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(exp_id, retries=5, retry_backoff=0.001)
+            run_experiment(exp_id, retry=_fast_retry(5))
         assert len(calls) == 1
 
 
@@ -210,6 +217,25 @@ class TestCli:
         assert rc == 1
         assert f"[{good} completed" not in out  # never reached
         assert "FAILED" in err
+
+    def test_non_repro_error_is_a_failure_record(
+        self, scratch, tmp_path, capsys
+    ):
+        """At --jobs 1 a plain ValueError is reported like at --jobs N:
+        exit 1, a failure summary and a failed checkpoint record."""
+
+        def bad_value(**kw):
+            raise ValueError("not a repro error")
+
+        exp_id = scratch("zz_valueerror", bad_value)
+        ckpt = tmp_path / "ck.json"
+        assert main([exp_id, "--checkpoint", str(ckpt)]) == 1
+        _, err = capsys.readouterr()
+        assert "1 experiment(s) FAILED" in err
+        assert "ValueError: not a repro error" in err
+        record = _ckpt_done(ckpt)[exp_id]
+        assert record["status"] == "failed"
+        assert record["error_type"] == "ValueError"
 
     def test_unknown_id_exit_code(self, capsys):
         assert main(["zz_nope"]) == 2
