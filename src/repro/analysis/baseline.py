@@ -1,12 +1,13 @@
-"""Baseline file for deep-pass findings.
+"""Baseline file for FLOW findings.
 
 A FLOW finding that is understood and accepted (e.g. the chaos
-harness deliberately corrupting artifacts) is recorded in a committed
-baseline — ``.simlint-baseline.json`` at the repo root — instead of a
-pragma, because the finding belongs to a *chain*, not a line.  Each
-entry carries a mandatory justification, and matched findings are
-surfaced in the JSON report's ``baselined`` section so the ledger
-stays auditable.
+harness deliberately corrupting artifacts) is recorded in a committed,
+hand-edited baseline — ``.simlint-baseline.json`` at the repo root —
+instead of a pragma, because the finding belongs to a *chain*, not a
+line.  Each entry carries a mandatory justification, and matched
+findings are surfaced in the JSON report's ``baselined`` section so
+the ledger stays auditable.  ``docs/STATIC_ANALYSIS.md`` shows the
+entry format.
 
 Fingerprints are line-independent — ``(rule, entry node, leaf site
 detail)`` — so reformatting a file does not invalidate the baseline,
@@ -23,11 +24,9 @@ __all__ = [
     "apply_baseline",
     "fingerprint",
     "load_baseline",
-    "render_baseline",
 ]
 
 DEFAULT_BASELINE_PATH = ".simlint-baseline.json"
-BASELINE_VERSION = 1
 
 
 def fingerprint(raw: dict) -> tuple[str, str, str]:
@@ -88,28 +87,3 @@ def apply_baseline(
                 }
             )
     return kept, baselined
-
-
-def render_baseline(
-    raw_findings: list[dict],
-    justification: str = "TODO: justify this accepted finding",
-) -> str:
-    """Baseline JSON text covering ``raw_findings`` (``--write-baseline``).
-    Every generated entry carries a placeholder justification that is
-    expected to be edited before committing."""
-    entries = sorted(
-        {fingerprint(raw) for raw in raw_findings}
-    )
-    payload = {
-        "version": BASELINE_VERSION,
-        "entries": [
-            {
-                "rule": rule,
-                "entry": entry,
-                "site": site,
-                "justification": justification,
-            }
-            for rule, entry, site in entries
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

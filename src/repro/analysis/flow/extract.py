@@ -1,13 +1,12 @@
-"""Per-module extraction for the deep (``--deep``) analysis pass.
+"""Per-module extraction for the whole-program (FLOW) analysis pass.
 
-One parse of one file produces a **module summary**: every function
-with its intrinsic effect sites, its outgoing call references (still
-symbolic — resolution needs the whole project), its seed-provenance
-sites, plus the module's imports, classes, registry registrations and
-module-level generators.  Summaries are plain JSON-able dicts on
-purpose: they are exactly what the analysis cache stores
-(:mod:`repro.analysis.flow.cache`) and what pool workers ship back
-when extraction is parallelized.
+The engine's parse of one file produces a **module summary**: every
+function with its intrinsic effect sites, its outgoing call references
+(still symbolic — resolution needs the whole project), its
+seed-provenance sites, plus the module's imports, classes, registry
+registrations and module-level generators.  Extraction reuses the
+engine's parsed tree and suppression map, so each file is parsed and
+tokenized exactly once per lint run.
 
 Pragmas are honored at the *site*: an intrinsic effect whose line
 carries ``# simlint: disable=DET001`` (or the matching FLOW id) is a
@@ -19,18 +18,15 @@ from __future__ import annotations
 
 import ast
 import re
+from pathlib import Path
 
-from repro.analysis.engine import _parse_pragmas
 from repro.analysis.rules.base import dotted_name
 from repro.analysis.rules.det import _NP_LEGACY, _WALL_CLOCK
 
-__all__ = ["extract_module", "extract_task", "ENTRY_DIRS", "ANALYSIS_VERSION"]
-
-#: Bump to invalidate every cached module summary / run record.
-ANALYSIS_VERSION = 1
+__all__ = ["extract_module", "module_names", "ENTRY_DIRS"]
 
 #: Directories whose modules hold sim-critical *entry points* for the
-#: deep pass: the simulation packages the scoped DET rules cover, plus
+#: FLOW pass: the simulation packages the scoped DET rules cover, plus
 #: ``core`` (closed-form math feeding every table) — per-line rules
 #: stay out of ``core`` (wall clock there is legal in the runner), but
 #: an entry point reaching an impure effect is not.
@@ -92,12 +88,16 @@ class _ModuleScanner:
     """Walks one parsed module, producing the summary dict."""
 
     def __init__(
-        self, path: str, module: str, tree: ast.Module, source: str
+        self,
+        path: str,
+        module: str,
+        tree: ast.Module,
+        suppressions: dict[int, set[str] | None],
     ) -> None:
         self.path = path
         self.module = module
         self.tree = tree
-        _, self.suppressions, _ = _parse_pragmas(source)
+        self.suppressions = suppressions
         self.imports: dict[str, str] = {}
         self.local_defs: set[str] = set()
         self.functions: dict[str, dict] = {}
@@ -163,7 +163,6 @@ class _ModuleScanner:
             else:
                 self._scan_module_stmt(node)
         return {
-            "version": ANALYSIS_VERSION,
             "module": self.module,
             "path": self.path,
             "entry_scope": in_entry_scope(self.path),
@@ -441,7 +440,7 @@ class _FunctionScan:
             )
             return
         if isinstance(stmt, ast.ClassDef):
-            return  # local classes: out of scope for the deep pass
+            return  # local classes: out of scope for the FLOW pass
         if isinstance(stmt, ast.Global):
             self.globals.update(stmt.names)
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -698,13 +697,36 @@ class _FunctionScan:
         return False
 
 
-def extract_module(path: str, source: str, module: str) -> dict:
-    """Summary dict for one module (see module docstring).  The file
-    must already be known to parse; callers filter out E999 files."""
-    tree = ast.parse(source, filename=path)
-    return _ModuleScanner(path, module, tree, source).run()
+def extract_module(
+    path: str,
+    tree: ast.Module,
+    suppressions: dict[int, set[str] | None],
+    module: str,
+) -> dict:
+    """Summary dict for one parsed module (see module docstring).
+    ``suppressions`` is the engine's line -> rule-id map
+    (:attr:`repro.analysis.rules.FileContext.suppressions`)."""
+    return _ModuleScanner(path, module, tree, suppressions).run()
 
 
-def extract_task(path: str, source: str, module: str) -> dict:
-    """Module-level pool entry point for parallel extraction."""
-    return extract_module(path, source, module)
+def module_names(paths: list[str]) -> dict[str, str]:
+    """Dotted module name for each display path.
+
+    Package membership is inferred from the analyzed set itself: a
+    directory is a package exactly when its ``__init__.py`` is among
+    the paths, and the module name is the chain of enclosing packages
+    plus the stem.  This names ``src/repro/htm/machine.py`` as
+    ``repro.htm.machine`` and a fixture mini-package's
+    ``registry/reg/exp.py`` as ``reg.exp`` with no layout knowledge.
+    """
+    path_set = {Path(p).as_posix() for p in paths}
+    names: dict[str, str] = {}
+    for path in paths:
+        p = Path(path)
+        bits = [] if p.name == "__init__.py" else [p.stem]
+        parent = p.parent
+        while (parent / "__init__.py").as_posix() in path_set:
+            bits.insert(0, parent.name)
+            parent = parent.parent
+        names[path] = ".".join(bits) if bits else p.stem
+    return names

@@ -1,9 +1,9 @@
-"""Project call graph + effect propagation for the deep pass.
+"""Project call graph + effect propagation for the FLOW pass.
 
 Takes the per-module summaries from :mod:`extract`, resolves the
 symbolic call references into a node graph (``module:qualname``),
 propagates intrinsic effects to fixpoint, and emits the raw FLOW
-findings — plain dicts, so the run-level cache can store them as-is.
+findings as plain dicts (the JSON report's ``flow`` section).
 
 Everything here is deterministic by construction: modules, functions,
 edges and worklists are always iterated in sorted order, and chains

@@ -64,11 +64,8 @@ def render_json(result: LintResult) -> str:
             }
             for s in result.suppressed
         ],
-        # deep-pass sections: full chains for live FLOW findings, plus
+        # FLOW sections: full chains for live FLOW findings, plus
         # the accepted (baselined) ones with their justifications.
-        # analysis_stats is deliberately NOT serialized — cache hit
-        # counts vary run to run, and cached reruns must stay
-        # byte-identical.
         "flow": result.flow,
         "baselined": result.baselined,
     }

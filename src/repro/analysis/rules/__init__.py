@@ -17,14 +17,15 @@ Rules are grouped by contract family:
 ``OBS``   observability: sim-critical code reports through the
           metrics registry / trace bus, never bare print or logging
 ``PRG``   pragma hygiene: suppressions must name real rules
-``FLOW``  whole-program determinism (``--deep`` only): transitive
-          effect reachability + RNG seed provenance over the project
-          call graph (:mod:`repro.analysis.flow`)
+``FLOW``  whole-program determinism: transitive effect reachability
+          + RNG seed provenance over the project call graph
+          (:mod:`repro.analysis.flow`)
 ========  ==========================================================
 
-FLOW rules carry ``deep = True``: they appear in the catalog and in
-selection validation, but findings only exist under ``repro lint
---deep`` — their ``check`` is a no-op.
+FLOW rules are :class:`~repro.analysis.rules.flow.FlowRuleInfo`
+descriptors: they appear in the catalog and in selection validation,
+but their findings come from the engine's FLOW pass — their ``check``
+is a no-op, and the engine keeps them out of the per-file rule loop.
 """
 
 from __future__ import annotations

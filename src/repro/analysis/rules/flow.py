@@ -1,4 +1,4 @@
-"""FLOW — whole-program determinism rules (the ``--deep`` pass).
+"""FLOW — whole-program determinism rules (the FLOW pass).
 
 Unlike every other family, FLOW rules are not single-file AST queries:
 they are produced by :mod:`repro.analysis.flow`, which builds a
@@ -10,8 +10,8 @@ registry — passes the line-scoped DET rules but fails FLOW.
 
 The descriptors here exist so the catalog (``--list-rules``),
 ``--select``/``--ignore`` validation, and pragma checking all know the
-ids; the analysis itself lives in :mod:`repro.analysis.flow` and only
-runs under ``repro lint --deep`` (or ``repro analyze``).
+ids; the analysis itself lives in :mod:`repro.analysis.flow` and runs
+in every ``repro lint`` that selects a FLOW rule.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ __all__ = ["FLOW_RULES", "FlowRuleInfo", "EFFECT_RULES"]
 
 
 class FlowRuleInfo(Rule):
-    """Catalog-only descriptor: FLOW findings come from the deep pass,
+    """Catalog-only descriptor: FLOW findings come from the FLOW pass,
     never from :meth:`check`."""
-
-    #: marks the rule as deep-analysis-only for the engine/selection.
-    deep = True
 
     def check(self, ctx):  # pragma: no cover - descriptors never run
         return iter(())

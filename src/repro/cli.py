@@ -11,7 +11,6 @@ Examples::
     python -m repro fig3_stack --jobs 8          # intra-experiment shards
     python -m repro all --no-cache --cache-dir /tmp/repro-cache
     python -m repro lint --list-rules
-    python -m repro analyze                      # lint --deep alias
     python -m repro cache verify
     python -m repro all --quick --jobs 4 --chaos 1234 --resume
     python -m repro loadgen --quick --seed 3     # decision-service replay
@@ -467,12 +466,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # alias for `lint --deep`: the whole-program determinism pass
-        # (call-graph purity + seed provenance; repro.analysis.flow)
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(["--deep", *argv[1:]])
     if argv and argv[0] == "trace":
         # run one experiment under the trace bus and export its event
         # stream; see repro.obs.cli and docs/OBSERVABILITY.md

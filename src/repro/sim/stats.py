@@ -3,8 +3,7 @@
 Experiments run millions of trials; storing every sample would dominate
 memory, so aggregation is online: Welford's algorithm for mean/variance
 (numerically stable — naive sum-of-squares cancels catastrophically at
-the magnitudes the cost model produces), a ratio tracker for
-competitive-ratio accounting, and a fixed-bin histogram.
+the magnitudes the cost model produces).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
-
-__all__ = ["Welford", "RatioTracker", "Histogram"]
+__all__ = ["Welford"]
 
 
 class Welford:
@@ -115,82 +112,3 @@ class Welford:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Welford n={self.n} mean={self.mean:.4g} std={self.std:.4g}>"
-
-
-class RatioTracker:
-    """Accumulate numerator/denominator sums for a global ratio.
-
-    Used for Corollary 1 accounting (sum of online running times over
-    sum of offline running times) where averaging per-trial ratios would
-    be the wrong statistic.
-    """
-
-    __slots__ = ("num", "den", "n")
-
-    def __init__(self) -> None:
-        self.num = 0.0
-        self.den = 0.0
-        self.n = 0
-
-    def add(self, numerator: float, denominator: float) -> None:
-        if denominator < 0 or numerator < 0:
-            raise InvalidParameterError("ratio components must be >= 0")
-        self.num += numerator
-        self.den += denominator
-        self.n += 1
-
-    @property
-    def ratio(self) -> float:
-        return self.num / self.den if self.den > 0 else math.nan
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RatioTracker {self.num:.4g}/{self.den:.4g}={self.ratio:.4g}>"
-
-
-class Histogram:
-    """Fixed-bin histogram over ``[lo, hi)`` with under/overflow bins."""
-
-    def __init__(self, lo: float, hi: float, bins: int) -> None:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-            raise InvalidParameterError(f"bad histogram range [{lo}, {hi})")
-        if bins < 1:
-            raise InvalidParameterError(f"need >= 1 bin, got {bins}")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.bins = bins
-        self.counts = np.zeros(bins, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, x: float) -> None:
-        if x < self.lo:
-            self.underflow += 1
-        elif x >= self.hi:
-            self.overflow += 1
-        else:
-            idx = int((x - self.lo) / (self.hi - self.lo) * self.bins)
-            self.counts[min(idx, self.bins - 1)] += 1
-
-    def add_many(self, xs: np.ndarray) -> None:
-        xs = np.asarray(xs, dtype=float)
-        self.underflow += int((xs < self.lo).sum())
-        self.overflow += int((xs >= self.hi).sum())
-        inside = xs[(xs >= self.lo) & (xs < self.hi)]
-        if inside.size:
-            idx = ((inside - self.lo) / (self.hi - self.lo) * self.bins).astype(int)
-            np.add.at(self.counts, np.minimum(idx, self.bins - 1), 1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
-
-    def density(self) -> np.ndarray:
-        """Normalized bin densities (integrates to the in-range mass)."""
-        total = self.total
-        if total == 0:
-            return np.zeros(self.bins)
-        width = (self.hi - self.lo) / self.bins
-        return self.counts / (total * width)

@@ -1,4 +1,4 @@
-"""Call-graph construction edge cases for the deep (FLOW) pass:
+"""Call-graph construction edge cases for the FLOW pass:
 decorated functions, bound methods (self / attribute-typed /
 local-instance / inherited / super), lambdas as callbacks,
 registry-mediated dispatch, and import cycles.
@@ -9,20 +9,17 @@ analyzed on its own so its internal imports resolve.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
-from repro.analysis.engine import lint_paths
-from repro.analysis.flow import ProjectGraph, analyze_sources, module_names
-from repro.analysis.flow.extract import extract_module
+from repro.analysis.engine import lint_paths, lint_sources
+from repro.analysis.flow import ProjectGraph, extract_module, module_names
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 
 
 def flow_findings(fixture: str) -> list[dict]:
-    result = lint_paths(
-        [FIXTURES / fixture], select=["FLOW"], deep=True
-    )
-    return result.flow
+    return lint_paths([FIXTURES / fixture], select=["FLOW"]).flow
 
 
 def chains(findings: list[dict]) -> dict[str, str]:
@@ -76,7 +73,7 @@ class TestBoundMethods:
                 "        return time.time()\n"
             ),
         }
-        findings, _stats = analyze_sources(sources)
+        findings = lint_sources(sources, select=["FLOW"]).flow
         by_entry = chains([f for f in findings if f["rule"] == "FLOW001"])
         assert by_entry["sim.child:Child.run"] == (
             "sim.child:Child.run -> lib.parent:Parent.tick"
@@ -95,7 +92,7 @@ class TestBoundMethods:
                 "        return super().setup() + 1\n"
             ),
         }
-        findings, _stats = analyze_sources(sources)
+        findings = lint_sources(sources, select=["FLOW"]).flow
         by_entry = chains([f for f in findings if f["rule"] == "FLOW001"])
         assert by_entry["sim.machines:Derived.setup"] == (
             "sim.machines:Derived.setup -> sim.machines:Base.setup"
@@ -175,7 +172,8 @@ class TestGraphDeterminism:
         sources = {p: Path(p).read_text(encoding="utf-8") for p in paths}
         names = module_names(paths)
         summaries = [
-            extract_module(p, sources[p], names[p]) for p in paths
+            extract_module(p, ast.parse(sources[p]), {}, names[p])
+            for p in paths
         ]
         forward = ProjectGraph(summaries).findings()
         backward = ProjectGraph(list(reversed(summaries))).findings()

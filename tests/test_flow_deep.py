@@ -1,27 +1,28 @@
-"""Acceptance pins for the deep pass: the purity analysis detects a
+"""Acceptance pins for the FLOW pass: the purity analysis detects a
 sim-critical entry reaching ``time.time()`` / ambient ``np.random``
 through >= 2 intermediate same- and cross-module calls and prints the
 full chain; the seed-provenance analysis catches ambient, laundered,
-shared and captured generators while passing clean ones."""
+shared and captured generators while passing clean ones.  Every
+file is parsed and tokenized once per run."""
 
 from __future__ import annotations
 
+import ast
+import json
+import tokenize
+from collections import Counter
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    render_baseline,
-)
+import pytest
+
+from repro.analysis.baseline import apply_baseline, fingerprint, load_baseline
 from repro.analysis.engine import lint_paths, lint_sources
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 
 
-def deep(fixture: str, **kwargs):
-    return lint_paths([FIXTURES / fixture], select=["FLOW"], deep=True,
-                      **kwargs)
+def deep(fixture: str, select=("FLOW",)):
+    return lint_paths([FIXTURES / fixture], select=list(select))
 
 
 class TestPurityChains:
@@ -119,7 +120,7 @@ class TestPragmaHonoring:
                 "    return deadline\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert result.ok
         assert result.flow == []
 
@@ -132,7 +133,7 @@ class TestPragmaHonoring:
                 "  # simlint: disable=FLOW001 -- sanctioned\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert result.ok
 
     def test_unsuppressed_site_still_found(self):
@@ -143,7 +144,7 @@ class TestPragmaHonoring:
                 "    return time.monotonic() + budget\n"
             ),
         }
-        result = lint_sources(sources, select=["FLOW"], deep=True)
+        result = lint_sources(sources, select=["FLOW"])
         assert not result.ok
         assert result.findings[0].rule == "FLOW001"
 
@@ -159,7 +160,7 @@ class TestBaseline:
         }
 
     def test_baselined_finding_is_accepted_and_surfaced(self):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         entries = [
             {
                 "rule": f["rule"],
@@ -170,8 +171,7 @@ class TestBaseline:
             for f in result.flow
         ]
         again = lint_sources(
-            self._sources(), select=["FLOW"], deep=True,
-            baseline_entries=entries,
+            self._sources(), select=["FLOW"], baseline_entries=entries,
         )
         assert again.ok
         assert len(again.baselined) == 1
@@ -180,15 +180,23 @@ class TestBaseline:
         )
 
     def test_fingerprint_is_line_independent(self):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         raw = result.flow[0]
         shifted = dict(raw, line=raw["line"] + 10)
         assert fingerprint(raw) == fingerprint(shifted)
 
     def test_render_and_load_roundtrip(self, tmp_path):
-        result = lint_sources(self._sources(), select=["FLOW"], deep=True)
+        result = lint_sources(self._sources(), select=["FLOW"])
         path = tmp_path / "baseline.json"
-        path.write_text(render_baseline(result.flow), encoding="utf-8")
+        entry = {
+            "rule": result.flow[0]["rule"],
+            "entry": result.flow[0]["entry"],
+            "site": result.flow[0]["site"]["detail"],
+            "justification": "known wall-clock in fixture",
+        }
+        path.write_text(
+            json.dumps({"version": 1, "entries": [entry]}), encoding="utf-8"
+        )
         entries = load_baseline(path)
         kept, baselined = apply_baseline(result.flow, entries)
         assert kept == []
@@ -211,8 +219,7 @@ class TestRealTree:
         repo = Path(__file__).resolve().parent.parent
         entries = load_baseline(repo / ".simlint-baseline.json")
         result = lint_paths(
-            [repo / "src"], select=["FLOW"], deep=True,
-            baseline_entries=entries,
+            [repo / "src"], select=["FLOW"], baseline_entries=entries,
         )
         assert result.ok, [f.message for f in result.findings]
         # the chaos-harness writes stay visible as baselined items
@@ -220,3 +227,56 @@ class TestRealTree:
             "repro.faults.chaos:tear_tail",
             "repro.faults.chaos:corrupt_bytes",
         }
+
+
+class TestOneParse:
+    def test_each_file_parsed_and_tokenized_once(self, monkeypatch):
+        """The FLOW pass reuses the engine's tree and pragma map: one
+        ``ast.parse`` and one tokenize pass per file per run."""
+        parsed: Counter = Counter()
+        tokenized: list[int] = []
+        real_parse, real_tokens = ast.parse, tokenize.generate_tokens
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_tokens(readline):
+            tokenized.append(1)
+            return real_tokens(readline)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        sources = {
+            "pkg/sim/__init__.py": "",
+            "pkg/sim/a.py": (
+                "import time\n\n\ndef go(n):\n    return time.time() + n\n"
+            ),
+            "pkg/sim/b.py": "def pure(n):\n    return n + 1\n",
+        }
+        result = lint_sources(sources)
+        assert [f["entry"] for f in result.flow] == ["sim.a:go"]
+        assert parsed == Counter({path: 1 for path in sources})
+        assert len(tokenized) == len(sources)
+
+
+@pytest.mark.parametrize(
+    "source, rules",
+    [
+        ("import random\n", ["DET002"]),
+        ("import random\nx = random.random()\n", ["DET002"]),
+        ("import numpy as np\nnp.random.seed(0)\n", ["DET003"]),
+        (
+            "import random\n\n\ndef f():\n    return random.random()\n",
+            ["DET002", "FLOW002"],
+        ),
+        (
+            "import numpy as np\n\n\ndef f():\n    np.random.seed(0)\n",
+            ["DET003", "FLOW002"],
+        ),
+    ],
+)
+def test_flow002_follows_calls_from_functions_only(source, rules):
+    """Module-level randomness is seen by DET002/DET003 alone."""
+    result = lint_sources({"src/repro/htm/fixture.py": source})
+    assert sorted({f.rule for f in result.findings}) == rules

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import InvalidParameterError
-from repro.sim.stats import Histogram, RatioTracker, Welford
+from repro.sim.stats import Welford
 
 
 class TestWelford:
@@ -125,69 +124,3 @@ class TestWelford:
         base = 1e12
         acc.add_many(base + np.asarray([1.0, 2.0, 3.0]))
         assert acc.variance == pytest.approx(1.0)
-
-
-class TestRatioTracker:
-    def test_global_ratio_not_mean_of_ratios(self):
-        t = RatioTracker()
-        t.add(10.0, 5.0)
-        t.add(1.0, 10.0)
-        assert t.ratio == pytest.approx(11.0 / 15.0)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(RatioTracker().ratio)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            RatioTracker().add(-1.0, 1.0)
-
-    def test_counts(self):
-        t = RatioTracker()
-        t.add(1.0, 1.0)
-        t.add(2.0, 2.0)
-        assert t.n == 2
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(0.0, 10.0, 10)
-        for x in (0.5, 1.5, 1.7, 9.99):
-            h.add(x)
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-
-    def test_under_overflow(self):
-        h = Histogram(0.0, 10.0, 5)
-        h.add(-1.0)
-        h.add(10.0)
-        h.add(100.0)
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert h.total == 3
-
-    def test_add_many_matches_scalar(self, rng):
-        data = rng.normal(5, 3, 2000)
-        a, b = Histogram(0, 10, 20), Histogram(0, 10, 20)
-        for x in data:
-            a.add(float(x))
-        b.add_many(data)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.underflow == b.underflow
-        assert a.overflow == b.overflow
-
-    def test_density_normalization(self, rng):
-        h = Histogram(0.0, 1.0, 50)
-        h.add_many(rng.random(10_000))
-        width = 1.0 / 50
-        assert h.density().sum() * width == pytest.approx(1.0)
-
-    def test_edges(self):
-        h = Histogram(0.0, 10.0, 5)
-        assert np.allclose(h.edges(), [0, 2, 4, 6, 8, 10])
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            Histogram(1.0, 0.0, 5)
-        with pytest.raises(InvalidParameterError):
-            Histogram(0.0, 1.0, 0)

@@ -12,7 +12,11 @@ import pytest
 from repro.analysis.cli import main as lint_main
 from repro.cli import main as repro_main
 
-REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+REPO_SRC = REPO / "src"
+#: the committed baseline, passed explicitly so the run does not depend
+#: on the working directory holding ``.simlint-baseline.json``
+BASELINE = ["--baseline", str(REPO / ".simlint-baseline.json")]
 
 
 @pytest.fixture
@@ -31,12 +35,12 @@ def violation_tree(tmp_path):
 
 class TestLintCli:
     def test_repaired_tree_is_clean(self, capsys):
-        assert lint_main([str(REPO_SRC)]) == 0
+        assert lint_main([str(REPO_SRC), *BASELINE]) == 0
         out = capsys.readouterr().out
         assert "clean" in out and "0 findings" in out
 
     def test_dispatch_through_repro_cli(self, capsys):
-        assert repro_main(["lint", str(REPO_SRC)]) == 0
+        assert repro_main(["lint", str(REPO_SRC), *BASELINE]) == 0
         assert "simlint" in capsys.readouterr().out
 
     def test_seeded_violation_exits_nonzero(self, violation_tree, capsys):
@@ -95,7 +99,8 @@ class TestLintCli:
             assert family in out
 
     def test_show_suppressed_lists_justifications(self, capsys):
-        assert lint_main([str(REPO_SRC), "--show-suppressed"]) == 0
+        rc = lint_main([str(REPO_SRC), "--show-suppressed", *BASELINE])
+        assert rc == 0
         out = capsys.readouterr().out
         # the two sanctioned watchdog wall-clock reads
         assert "watchdog" in out

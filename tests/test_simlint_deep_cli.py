@@ -1,6 +1,5 @@
-"""CLI surface of the deep pass: --deep, the analyze alias, SARIF
-output, --jobs invariance, the baseline workflow, and the cache-hit
-counter on stderr."""
+"""CLI surface of the FLOW pass: call chains in the default run,
+SARIF output, and the hand-edited baseline workflow."""
 
 from __future__ import annotations
 
@@ -12,6 +11,10 @@ from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 TRANSITIVE = str(FIXTURES / "transitive")
+CHAIN = (
+    "htm.engine.step -> htm.engine._advance -> "
+    "util.timeutil.read_clock -> util.timeutil._now"
+)
 
 
 def run(capsys, argv):
@@ -20,66 +23,46 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def write_baseline(capsys, path):
+    """Accept every FLOW finding on the transitive fixture by writing
+    the baseline JSON by hand, as a maintainer would."""
+    _code, out, _err = run(
+        capsys, [TRANSITIVE, "--select", "FLOW", "--format", "json"]
+    )
+    entries = [
+        {
+            "rule": f["rule"],
+            "entry": f["entry"],
+            "site": f["site"]["detail"],
+            "justification": "accepted in test",
+        }
+        for f in json.loads(out)["flow"]
+    ]
+    path.write_text(
+        json.dumps({"version": 1, "entries": entries}), encoding="utf-8"
+    )
+    return entries
+
+
 class TestDeepCli:
-    def test_deep_prints_full_chain(self, capsys, tmp_path):
-        code, out, _err = run(
-            capsys,
-            [TRANSITIVE, "--deep", "--select", "FLOW",
-             "--cache-dir", str(tmp_path)],
-        )
+    def test_deep_prints_full_chain(self, capsys):
+        code, out, _err = run(capsys, [TRANSITIVE, "--select", "FLOW"])
         assert code == 1
-        assert (
-            "htm.engine.step -> htm.engine._advance -> "
-            "util.timeutil.read_clock -> util.timeutil._now"
-        ) in out
+        assert CHAIN in out
 
-    def test_shallow_run_has_no_flow_findings(self, capsys):
-        code, out, _err = run(
-            capsys, [TRANSITIVE, "--select", "FLOW", "--no-cache"]
-        )
-        assert code == 0
-        assert "FLOW" not in out.partition("simlint:")[2]
-
-    def test_analyze_alias(self, capsys, tmp_path):
-        code = repro_main(
-            ["analyze", TRANSITIVE, "--select", "FLOW",
-             "--cache-dir", str(tmp_path)]
-        )
+    def test_default_run_reports_flow_chain(self, capsys):
+        code = repro_main(["lint", TRANSITIVE, "--select", "FLOW"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FLOW001" in out
-
-    def test_cache_counter_on_stderr(self, capsys, tmp_path):
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--cache-dir", str(tmp_path)]
-        _code, _out, err1 = run(capsys, argv)
-        assert "run miss" in err1
-        _code, out2, err2 = run(capsys, argv)
-        assert "run hit" in err2
-        assert "file hit" in err2
-        # the counter never contaminates stdout (byte-identity)
-        assert "hit" not in out2
-
-    def test_jobs_invariance(self, capsys, tmp_path):
-        base = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--format", "json"]
-        _c, out1, _e = run(
-            capsys, base + ["--jobs", "1",
-                            "--cache-dir", str(tmp_path / "a")]
-        )
-        _c, out2, _e = run(
-            capsys, base + ["--jobs", "2",
-                            "--cache-dir", str(tmp_path / "b")]
-        )
-        assert out1 == out2
+        assert "FLOW001" in out.partition("simlint:")[2]
+        assert CHAIN in out
 
 
 class TestSarif:
-    def test_sarif_structure(self, capsys, tmp_path):
+    def test_sarif_structure(self, capsys):
         _code, out, _err = run(
             capsys,
-            [TRANSITIVE, "--deep", "--select", "FLOW",
-             "--format", "sarif", "--cache-dir", str(tmp_path)],
+            [TRANSITIVE, "--select", "FLOW", "--format", "sarif"],
         )
         doc = json.loads(out)
         assert doc["version"] == "2.1.0"
@@ -94,12 +77,12 @@ class TestSarif:
 
     def test_sarif_carries_baselined_as_suppressed(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--baseline", str(baseline),
-                "--cache-dir", str(tmp_path / "cache")]
-        code, _out, _err = run(capsys, argv + ["--write-baseline"])
-        assert code == 0
-        code, out, _err = run(capsys, argv + ["--format", "sarif"])
+        write_baseline(capsys, baseline)
+        code, out, _err = run(
+            capsys,
+            [TRANSITIVE, "--select", "FLOW", "--baseline", str(baseline),
+             "--format", "sarif"],
+        )
         assert code == 0  # everything baselined
         doc = json.loads(out)
         results = doc["runs"][0]["results"]
@@ -111,15 +94,12 @@ class TestSarif:
 class TestBaselineWorkflow:
     def test_write_then_accept(self, capsys, tmp_path):
         baseline = tmp_path / "baseline.json"
-        argv = [TRANSITIVE, "--deep", "--select", "FLOW",
-                "--baseline", str(baseline),
-                "--cache-dir", str(tmp_path / "cache")]
-        code, _out, err = run(capsys, argv + ["--write-baseline"])
-        assert code == 0
-        assert "wrote 2 deep finding(s)" in err
-        entries = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(entries["entries"]) == 2
-        code, out, _err = run(capsys, argv)
+        entries = write_baseline(capsys, baseline)
+        assert len(entries) == 2
+        code, out, _err = run(
+            capsys,
+            [TRANSITIVE, "--select", "FLOW", "--baseline", str(baseline)],
+        )
         assert code == 0
         assert "2 baselined" in out
 
@@ -127,9 +107,7 @@ class TestBaselineWorkflow:
         baseline = tmp_path / "bad.json"
         baseline.write_text("[]", encoding="utf-8")
         code, _out, err = run(
-            capsys,
-            [TRANSITIVE, "--deep", "--no-cache",
-             "--baseline", str(baseline)],
+            capsys, [TRANSITIVE, "--baseline", str(baseline)]
         )
         assert code == 2
         assert "simlint: error" in err

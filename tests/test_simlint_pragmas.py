@@ -1,11 +1,10 @@
 """Pragma-parsing contract: multi-rule disables, whitespace
-tolerance, PRG001 hygiene findings for unknown/malformed pragmas, and
-parallel lint determinism."""
+tolerance, and PRG001 hygiene findings for unknown/malformed
+pragmas."""
 
 from __future__ import annotations
 
 from repro.analysis.engine import lint_sources
-from repro.parallel import SupervisedPool
 
 SIM = "src/repro/sim/fixture.py"
 
@@ -120,31 +119,3 @@ class TestPragmaHygiene:
         )
         result = lint_sources({SIM: src}, select=["PRG"])
         assert [f.rule for f in result.findings] == ["PRG001"]
-
-
-class TestParallelLint:
-    def _sources(self):
-        out = {}
-        for i in range(6):
-            out[f"src/repro/sim/mod_{i}.py"] = (
-                "import time\nimport random\n\n\n"
-                f"def f_{i}():\n"
-                "    return time.time() + random.random()\n"
-            )
-        out[SIM] = (
-            "import time\n\n\n"
-            "def g():\n"
-            "    return time.time()  # simlint: disable=DET001 -- ok\n"
-        )
-        return out
-
-    def test_pool_matches_serial(self):
-        serial = lint_sources(self._sources())
-        parallel = lint_sources(self._sources(), pool=SupervisedPool(2))
-        assert parallel.findings == serial.findings
-        assert parallel.suppressed == serial.suppressed
-        assert serial.findings  # the fixture actually finds things
-
-    def test_serial_pool_path(self):
-        result = lint_sources(self._sources(), pool=SupervisedPool(1))
-        assert result.findings == lint_sources(self._sources()).findings

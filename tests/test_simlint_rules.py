@@ -19,11 +19,12 @@ UNSCOPED_PATH = "src/repro/core/fixture.py"
 
 def hits(source, path=SIM_PATH, select=None, **extra_sources):
     sources = {path: source, **extra_sources}
-    return [f.rule for f in lint_sources(sources, select=select).findings]
+    result = lint_sources(sources, select=select, ignore=["FLOW"])
+    return [f.rule for f in result.findings]
 
 
 def suppressed(source, path=SIM_PATH):
-    return lint_sources({path: source}).suppressed
+    return lint_sources({path: source}, ignore=["FLOW"]).suppressed
 
 
 # ---------------------------------------------------------------------------
