@@ -29,10 +29,9 @@ from repro.ablation.cells import DEFAULT_WORKLOADS, WORKLOADS, cell_id
 from repro.ablation.report import build_payload, render_csv, render_markdown
 from repro.ablation.score import rank_scores, score_matrix
 from repro.errors import ReproError
+from repro.parallel.cache import DEFAULT_CACHE_DIR, default_cache_dir
 
 __all__ = ["ablate_main", "build_ablate_parser"]
-
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def _bench_schema():
@@ -88,8 +87,9 @@ def build_ablate_parser() -> argparse.ArgumentParser:
         help="disable the content-addressed result cache",
     )
     parser.add_argument(
-        "--cache-dir", type=pathlib.Path, default=None,
-        help=f"cache directory (default {DEFAULT_CACHE_DIR})",
+        "--cache-dir", type=pathlib.Path, default=default_cache_dir(),
+        help=f"cache directory (default {DEFAULT_CACHE_DIR}, or "
+        "$REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
@@ -161,9 +161,7 @@ def ablate_main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    cache_dir = None
-    if args.cache:
-        cache_dir = args.cache_dir or pathlib.Path(DEFAULT_CACHE_DIR)
+    cache_dir = args.cache_dir if args.cache else None
 
     overrides: dict = {}
     if args.replicates is not None:

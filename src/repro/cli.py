@@ -6,13 +6,13 @@ Examples::
     python -m repro fig2a tab_ratios
     python -m repro all --quick
     python -m repro fig3_stack --seed 7 --out results/
-    python -m repro all --quick --keep-going --timeout 120 --resume
+    python -m repro all --quick --keep-going --timeout 120
     python -m repro all --quick --jobs 4
     python -m repro fig3_stack --jobs 8          # intra-experiment shards
     python -m repro all --no-cache --cache-dir /tmp/repro-cache
     python -m repro lint --list-rules
     python -m repro cache verify
-    python -m repro all --quick --jobs 4 --chaos 1234 --resume
+    python -m repro all --quick --jobs 4 --chaos 1234
     python -m repro loadgen --quick --seed 3     # decision-service replay
     python -m repro serve --requests 2000        # serving smoke
 
@@ -27,7 +27,7 @@ Parallelism & caching (docs/PERFORMANCE.md):
 
 * Every batch, at any ``--jobs``, runs through one path:
   :class:`~repro.parallel.ParallelExecutor` on the supervised pool
-  (ordered reporting, single-writer checkpointing, failure records).
+  (ordered reporting, failure records).
   The pool decides where tasks run.  ``--jobs N`` with several
   experiments fans them out to worker processes (process-level timeout
   kills).  ``--jobs 1``, or a single experiment without ``--chaos``,
@@ -49,12 +49,11 @@ Resilience (docs/ROBUSTNESS.md):
 * ``--keep-going`` records failures and keeps running; the run exits
   non-zero with a per-experiment failure summary instead of aborting
   at the first error.
-* ``--resume`` (with ``--checkpoint``, or the default checkpoint path)
-  skips experiments a previous invocation already completed, so a
-  crashed or killed batch picks up where it left off.  Checkpoints are
-  an append-only, fsync-committed JSONL *journal* with per-record
-  checksums: a crash mid-write costs at most the torn tail, which
-  recovery truncates back to the last durable record.
+* Crash recovery is rerunning the same command: every finished
+  experiment left a checksummed, atomically written cache entry, so
+  the rerun serves it as a cache hit and recomputes only the rest.  A
+  damaged entry is a miss and is recomputed; ``--no-cache`` recomputes
+  everything.
 * Under ``--jobs``, workers are warm and *supervised*: heartbeat pings
   detect crashed or hung workers, their in-flight task is re-executed
   on a fresh worker (bounded, with backoff), and once
@@ -78,15 +77,9 @@ from contextlib import nullcontext
 
 from repro.experiments import EXPERIMENTS, render_failures, render_result
 from repro.obs import capture as obs_capture
+from repro.parallel.cache import DEFAULT_CACHE_DIR, default_cache_dir
 
 __all__ = ["main", "build_parser"]
-
-#: Default checkpoint location when ``--resume`` is given without an
-#: explicit ``--checkpoint`` (and no ``--out`` directory to put it in).
-DEFAULT_CHECKPOINT = pathlib.Path(".repro-checkpoint.json")
-
-#: Default result-cache location (overridable via ``$REPRO_CACHE_DIR``).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         type=pathlib.Path,
-        default=pathlib.Path(
-            os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        ),
+        default=default_cache_dir(),
         metavar="PATH",
         help=f"result cache directory (default {DEFAULT_CACHE_DIR}, or "
         "$REPRO_CACHE_DIR)",
@@ -175,15 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "non-zero with a failure summary at the end",
     )
     parser.add_argument(
-        "--checkpoint",
-        type=pathlib.Path,
-        default=None,
-        metavar="PATH",
-        help="record per-experiment completion in an append-only "
-        "checkpoint journal (default with --resume: "
-        f"<out>/checkpoint.json, else {DEFAULT_CHECKPOINT})",
-    )
-    parser.add_argument(
         "--chaos",
         type=int,
         default=None,
@@ -203,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "parent",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments the checkpoint already marks completed "
-        "(same --quick/--seed run only)",
-    )
-    parser.add_argument(
         "--metrics-out",
         type=pathlib.Path,
         default=None,
@@ -226,50 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(submission order — byte-identical at any --jobs)",
     )
     return parser
-
-
-def _checkpoint_path(args: argparse.Namespace) -> pathlib.Path | None:
-    """Where checkpoint state lives, or None when checkpointing is off
-    (neither --checkpoint nor --resume was requested)."""
-    if args.checkpoint is not None:
-        return args.checkpoint
-    if not args.resume:
-        return None
-    if args.out is not None:
-        return args.out / "checkpoint.json"
-    return DEFAULT_CHECKPOINT
-
-
-def _open_journal(args: argparse.Namespace, ckpt_path: pathlib.Path):
-    """Open (recovering) the checkpoint journal; report what recovery
-    did.  A journal from a different ``(quick, seed)`` configuration is
-    rotated aside — resuming across configurations would silently mix
-    incomparable results.  Journal records land in completion order, so
-    their ``checkpoint_written`` events stay out of the per-experiment
-    captures that feed ``--trace-out`` (which must stay invariant to
-    ``--jobs``)."""
-    from repro.parallel import CheckpointJournal
-
-    journal = CheckpointJournal(
-        ckpt_path, quick=args.quick, seed=args.seed
-    ).open()
-    if journal.rotated is not None:
-        header = journal.rotated.header or {}
-        print(
-            f"checkpoint {ckpt_path} is from a different run "
-            f"(quick={header.get('quick')!r}, seed={header.get('seed')!r}); "
-            f"ignoring it",
-            file=sys.stderr,
-        )
-    elif journal.recovery is not None and journal.recovery.truncated:
-        rec = journal.recovery
-        print(
-            f"checkpoint {ckpt_path}: recovered a torn tail "
-            f"({rec.dropped_records} record(s), {rec.dropped_bytes} bytes "
-            f"dropped); resuming from the last durable record",
-            file=sys.stderr,
-        )
-    return journal
 
 
 def _emit_result(args: argparse.Namespace, result, elapsed: float) -> None:
@@ -312,10 +244,10 @@ def _write_obs(args: argparse.Namespace, snaps: list, events: list) -> None:
 
 
 #: Supervision vocabulary folded into --metrics-out / --trace-out:
-#: counters the supervised pool and journal recovery increment, and the
-#: event kinds they emit on the parent's bus.  Fault-free runs produce
-#: none of either, so the obs artifacts stay byte-identical at any
-#: --jobs; under chaos they carry the restart/recovery counts.
+#: counters the supervised pool increments and the event kinds it
+#: emits on the parent's bus.  Fault-free runs produce none of either,
+#: so the obs artifacts stay byte-identical at any --jobs; under chaos
+#: they carry the restart counts.
 _SUPERVISION_COUNTERS = frozenset(
     {
         "worker_crashes",
@@ -324,14 +256,12 @@ _SUPERVISION_COUNTERS = frozenset(
         "worker_heartbeat_timeouts",
         "worker_parent_kills",
         "degraded_to_serial",
-        "journal_recoveries",
     }
 )
 _SUPERVISION_KINDS = frozenset(
     {
         "worker_crashed",
         "worker_restarted",
-        "journal_recovered",
         "degraded_to_serial",
     }
 )
@@ -358,7 +288,6 @@ def _run_batch(
     args: argparse.Namespace,
     ids: list[str],
     cache,
-    journal,
     *,
     collect: bool = False,
 ):
@@ -366,10 +295,9 @@ def _run_batch(
 
     At ``--jobs 1``, or for one id without ``--chaos``, the executor
     runs them in this process; otherwise it fans them out over workers.
-    The parent stays the only checkpoint writer: per-experiment records
-    land in completion order (fsync'd journal appends), while results
-    are *emitted* in submission order so the report reads the same at
-    any ``--jobs``.  Returns ``(outcomes, failures)``.
+    Outcomes arrive in completion order but are *emitted* in submission
+    order, so the report reads the same at any ``--jobs``.  Returns
+    ``(outcomes, failures)``.
     """
     from repro.parallel import ParallelExecutor, RetryPolicy
 
@@ -415,12 +343,7 @@ def _run_batch(
                 )
 
     def on_complete(outcome) -> None:
-        # completion order: checkpoint first, so a kill right here loses
-        # at most the in-flight experiments, never a finished one
-        entry = {
-            "status": "ok" if outcome.ok else "failed",
-            "elapsed_s": round(outcome.elapsed_s, 2),
-        }
+        # completion order: record failures, emit whatever is now in order
         if not outcome.ok:
             failure = {
                 "exp_id": outcome.exp_id,
@@ -431,9 +354,6 @@ def _run_batch(
                 # the real reason the worker died (signal/exit/timeout)
                 failure["exit_cause"] = outcome.exit_cause
             failures.append(failure)
-            entry.update((k, v) for k, v in failure.items() if k != "exp_id")
-        if journal is not None:
-            journal.mark_done(outcome.exp_id, entry)
         buffered[outcome.exp_id] = outcome
         flush()
 
@@ -533,42 +453,20 @@ def main(argv: list[str] | None = None) -> int:
         args.chaos = None
 
     collect = args.metrics_out is not None or args.trace_out is not None
-    journal = None
-    try:
-        # the parent-side capture records supervision activity (worker
-        # crashes/restarts, journal recoveries); fault-free runs record
-        # nothing, keeping --metrics-out/--trace-out byte-identical at
-        # any --jobs
-        with (obs_capture() if collect else nullcontext()) as parent_cap:
-            ckpt_path = _checkpoint_path(args)
-            done: dict[str, dict] = {}
-            if ckpt_path is not None:
-                journal = _open_journal(args, ckpt_path)
-                if args.resume:
-                    done = journal.done_map()
-
-            run_ids: list[str] = []
-            for exp_id in ids:
-                if args.resume and done.get(exp_id, {}).get("status") == "ok":
-                    print(f"[{exp_id} already completed; skipping (--resume)]")
-                    continue
-                run_ids.append(exp_id)
-
-            outcomes, failures = _run_batch(
-                args, run_ids, cache, journal, collect=collect
-            )
-            if collect:
-                snaps = [o.metrics for o in outcomes if o.metrics is not None]
-                events = [e for o in outcomes if o.events for e in o.events]
-                _fold_supervision(parent_cap, snaps, events)
-                _write_obs(args, snaps, events)
-            if failures:
-                print(render_failures(failures), file=sys.stderr)
-                return 1
-            return 0
-    finally:
-        if journal is not None:
-            journal.close()
+    # the parent-side capture records supervision activity (worker
+    # crashes/restarts); fault-free runs record nothing, keeping
+    # --metrics-out/--trace-out byte-identical at any --jobs
+    with (obs_capture() if collect else nullcontext()) as parent_cap:
+        outcomes, failures = _run_batch(args, ids, cache, collect=collect)
+        if collect:
+            snaps = [o.metrics for o in outcomes if o.metrics is not None]
+            events = [e for o in outcomes if o.events for e in o.events]
+            _fold_supervision(parent_cap, snaps, events)
+            _write_obs(args, snaps, events)
+    if failures:
+        print(render_failures(failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -159,15 +159,35 @@ class RandDelay(CyclePolicy):
         return int(rng.random() * cap)
 
 
+def bucket(B: int) -> int:
+    """Round ``B`` to the nearest power of 1.25 (at least 1).
+
+    Policies that build a density per ``(B, k)`` key their cache on the
+    bucket, so the cache stays small while the delay distribution still
+    tracks the transaction age.
+    """
+    if B < 1:
+        return 1
+    return int(round(1.25 ** round(math.log(B, 1.25))))
+
+
+def cached_build(cache: dict, key, build, *args):
+    """``cache[key]``, built by ``build(*args)`` on first use; each
+    build counts one ``policy_builds``."""
+    policy = cache.get(key)
+    if policy is None:
+        get_registry().counter("policy_builds").inc()
+        policy = cache[key] = build(*args)
+    return policy
+
+
 class RRWMeanDelay(CyclePolicy):
     """The mean-constrained optimal requestor-wins policy at cycle
     granularity (uses the profiled mean remaining time ``mu_cycles``).
 
     Falls back to the unconstrained optimum whenever ``mu/B`` leaves the
     Theorem 5/6 regime at the observed ``B`` (the factory handles it).
-    Policies are cached per (B, k) bucket — B is bucketed to powers of
-    ~1.25 so the cache stays small while the delay distribution tracks
-    the transaction age.
+    Policies are cached per (:func:`bucket` of B, k).
     """
 
     name = "DELAY_RRW_MU"
@@ -178,19 +198,12 @@ class RRWMeanDelay(CyclePolicy):
         self.mu_cycles = float(mu_cycles)
         self._cache: dict[tuple[int, int], object] = {}
 
-    def _bucket(self, B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
-        B = self._bucket(max(ctx.abort_cost, 1))
-        key = (B, ctx.chain_k)
-        policy = self._cache.get(key)
-        if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(float(B), ctx.chain_k, self.mu_cycles)
-            self._cache[key] = policy
+        B = bucket(max(ctx.abort_cost, 1))
+        policy = cached_build(
+            self._cache, (B, ctx.chain_k),
+            optimal_requestor_wins, float(B), ctx.chain_k, self.mu_cycles,
+        )
         return int(policy.sample(rng))
 
 
@@ -216,23 +229,14 @@ class RequestorAbortsDelay(CyclePolicy):
         self.mu_cycles = mu_cycles
         self._cache: dict[tuple[int, int], object] = {}
 
-    def _bucket(self, B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         from repro.core.requestor_aborts import optimal_requestor_aborts
 
-        B = self._bucket(max(ctx.abort_cost, 1))
-        key = (B, ctx.chain_k)
-        policy = self._cache.get(key)
-        if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_aborts(
-                float(B), ctx.chain_k, self.mu_cycles
-            )
-            self._cache[key] = policy
+        B = bucket(max(ctx.abort_cost, 1))
+        policy = cached_build(
+            self._cache, (B, ctx.chain_k),
+            optimal_requestor_aborts, float(B), ctx.chain_k, self.mu_cycles,
+        )
         return max(1, int(policy.sample(rng)))
 
 
@@ -269,15 +273,11 @@ class HybridDelay(CyclePolicy):
         if self._rw is not None:
             return self._rw.decide(ctx, rng)
         # unconstrained requestor-wins optimum
-        from repro.core.requestor_wins import optimal_requestor_wins
-
-        B = self._ra._bucket(max(ctx.abort_cost, 1))
-        key = (B, ctx.chain_k)
-        policy = self._rw_plain_cache.get(key)
-        if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(float(B), ctx.chain_k)
-            self._rw_plain_cache[key] = policy
+        B = bucket(max(ctx.abort_cost, 1))
+        policy = cached_build(
+            self._rw_plain_cache, (B, ctx.chain_k),
+            optimal_requestor_wins, float(B), ctx.chain_k,
+        )
         return int(policy.sample(rng))
 
 
@@ -372,12 +372,6 @@ class RegimeAdaptiveDelay(CyclePolicy):
             self.regime_switches += 1
             self.regime = new
 
-    @staticmethod
-    def _bucket(B: int) -> int:
-        if B < 1:
-            return 1
-        return int(round(1.25 ** round(math.log(B, 1.25))))
-
     def decide(self, ctx: ConflictContext, rng: np.random.Generator) -> int:
         self.estimator.observe_conflict(ctx.abort_cost, ctx.chain_k)
         self._decisions += 1
@@ -385,21 +379,16 @@ class RegimeAdaptiveDelay(CyclePolicy):
             self._refresh()
         if self.regime == "bootstrap":
             return int(ctx.abort_cost // (ctx.chain_k - 1))
-        B = self._bucket(max(ctx.abort_cost, 1))
+        B = bucket(max(ctx.abort_cost, 1))
         mu = self._snapshot.mu_hat if self.regime == "mean" else None
         # quantize µ̂ so the per-(B, k, µ-bucket) policy cache stays
         # small while the density still tracks the drifting estimate
-        mu_key = -1 if mu is None else self._bucket(max(int(round(mu)), 1))
-        key = (B, ctx.chain_k, mu_key)
-        policy = self._cache.get(key)
-        if policy is None:
-            get_registry().counter("policy_builds").inc()
-            policy = optimal_requestor_wins(
-                float(B),
-                ctx.chain_k,
-                None if mu_key < 0 else float(mu_key),
-            )
-            self._cache[key] = policy
+        mu_key = -1 if mu is None else bucket(max(int(round(mu)), 1))
+        policy = cached_build(
+            self._cache, (B, ctx.chain_k, mu_key),
+            optimal_requestor_wins, float(B), ctx.chain_k,
+            None if mu_key < 0 else float(mu_key),
+        )
         return int(policy.sample(rng))
 
 

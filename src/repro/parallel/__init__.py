@@ -6,8 +6,7 @@ of fan-out (docs/PERFORMANCE.md):
 
 * **Inter-experiment** — :class:`ParallelExecutor` runs whole
   experiments in worker processes with parent-enforced process-level
-  timeouts and single-writer checkpointing
-  (``python -m repro all --jobs N``).
+  timeouts (``python -m repro all --jobs N``).
 * **Intra-experiment** — :meth:`SupervisedPool.starmap` maps trial
   shards (``SyntheticHarness.run(n_shards=...)``) and sweep cells
   (``run_fig3(pool=...)``) over workers, in task order; per-shard
@@ -16,16 +15,18 @@ of fan-out (docs/PERFORMANCE.md):
   to the worker count.  ``pool=None`` runs the shards serially.
 
 Plus :class:`ResultCache`, the content-addressed row store keyed on
-``exp_id + kwargs + seed + quick +`` a source-tree fingerprint,
-:class:`CheckpointJournal` (append-only fsync'd JSONL with per-record
-checksums and torn-tail recovery), and :class:`RetryPolicy` (the one
-retry/re-execution/restart budget object every path shares).
+``exp_id + kwargs + seed + quick +`` a source-tree fingerprint, whose
+checksummed, atomically written entries are also the batch's only
+crash-recovery record (rerun the same command after a crash), and
+:class:`RetryPolicy` (the one retry/re-execution/restart budget object
+every path shares).
 """
 
 from __future__ import annotations
 
 from repro.parallel.cache import (
     ResultCache,
+    atomic_write_text,
     cache_key,
     scan_cache_dir,
     source_fingerprint,
@@ -35,12 +36,6 @@ from repro.parallel.executor import (
     ExperimentTask,
     ParallelExecutor,
 )
-from repro.parallel.journal import (
-    CheckpointJournal,
-    JournalRecovery,
-    atomic_write_text,
-    recover,
-)
 from repro.parallel.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.parallel.supervisor import (
     SupervisedPool,
@@ -49,11 +44,9 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "CheckpointJournal",
     "DEFAULT_RETRY_POLICY",
     "ExperimentOutcome",
     "ExperimentTask",
-    "JournalRecovery",
     "ParallelExecutor",
     "ResultCache",
     "RetryPolicy",
@@ -62,7 +55,6 @@ __all__ = [
     "atomic_write_text",
     "best_start_method",
     "cache_key",
-    "recover",
     "scan_cache_dir",
     "source_fingerprint",
 ]

@@ -27,8 +27,15 @@ replayed into results: a mismatch counts as ``cache_corrupt`` and the
 rows are recomputed.  ``repro cache verify`` / ``repro cache prune``
 (:mod:`repro.parallel.cache_cli`) expose the same check as an operator
 tool via :func:`scan_cache_dir`.  Entries are committed with
-:func:`repro.parallel.journal.atomic_write_text`, so a crash mid-write
-leaves the previous entry (or nothing), never a torn file.
+:func:`atomic_write_text`, so a crash mid-write leaves the previous
+entry (or nothing), never a torn file.
+
+The cache is also the batch's only crash-recovery record: every
+finished experiment has a checksummed, fsync'd entry, so recovering a
+killed ``python -m repro`` run means rerunning the same command —
+finished experiments are cache hits, the rest recompute.  Because the
+key covers the source fingerprint, a rerun after a code edit recomputes
+everything instead of mixing rows from two versions of the code.
 ``scorecard`` is the headline consumer: in one ``python -m repro all``
 batch it re-grades sub-experiments from their just-written cache
 entries instead of recomputing them.
@@ -36,18 +43,21 @@ entries instead of recomputing them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 
 import repro
 from repro.obs.metrics import get_registry
 from repro.obs.tracebus import NO_SIM_TIME, get_bus
-from repro.parallel.journal import atomic_write_text
 
 __all__ = [
     "ResultCache",
+    "atomic_write_text",
+    "default_cache_dir",
     "source_fingerprint",
     "cache_key",
     "rows_checksum",
@@ -59,7 +69,55 @@ __all__ = [
 #: v2 added the per-entry ``crc`` field (rows checksum).
 CACHE_VERSION = 2
 
+#: Result-cache location when ``$REPRO_CACHE_DIR`` is unset.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
 _fingerprint_memo: dict[pathlib.Path, str] = {}
+
+
+def default_cache_dir() -> pathlib.Path:
+    """The cache directory every verb defaults to: ``$REPRO_CACHE_DIR``,
+    else ``.repro-cache``."""
+    return pathlib.Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
+
+
+def atomic_write_text(path: pathlib.Path | str, text: str) -> pathlib.Path:
+    """Write ``text`` to ``path`` all-or-nothing.
+
+    Temp file in the same directory (so ``os.replace`` stays on one
+    filesystem), data ``fsync`` before the rename, directory ``fsync``
+    after it — the sequence a crash cannot tear.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    _fsync_dir(path.parent)
+    return path
+
+
+def _fsync_dir(directory: pathlib.Path) -> None:
+    """Persist a rename by fsyncing the containing directory (best
+    effort: some filesystems refuse directory fds)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def source_fingerprint(root: pathlib.Path | None = None) -> str:

@@ -16,11 +16,13 @@ import json
 import pathlib
 import sys
 
-from repro.parallel.cache import scan_cache_dir
+from repro.parallel.cache import (
+    DEFAULT_CACHE_DIR,
+    default_cache_dir,
+    scan_cache_dir,
+)
 
 __all__ = ["build_cache_parser", "cache_main"]
-
-DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
 
 
 def build_cache_parser() -> argparse.ArgumentParser:
@@ -37,8 +39,9 @@ def build_cache_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--cache-dir",
             type=pathlib.Path,
-            default=DEFAULT_CACHE_DIR,
-            help=f"cache directory to scan (default: {DEFAULT_CACHE_DIR})",
+            default=default_cache_dir(),
+            help=f"cache directory to scan (default: {DEFAULT_CACHE_DIR}, "
+            "or $REPRO_CACHE_DIR)",
         )
         sp.add_argument(
             "--json",

@@ -11,19 +11,20 @@ in the parent (a lone id at ``--jobs N`` gets a shard pool); otherwise:
   the task body stays on the main thread).  Workers are *warm*:
   spawned once per run and fed tasks over their pipes until the queue
   drains.
-* **The parent** owns every side effect: it is the single writer of
-  the checkpoint journal (``on_complete`` fires in completion order),
-  it renders results, and it supervises workers — process-level
-  timeouts, heartbeat-based hang detection, bounded re-execution of
-  tasks whose worker crashed, and degradation to serial in-parent
-  execution when the restart budget runs out.
+* **The parent** renders results (``on_complete`` fires in completion
+  order) and supervises workers — process-level timeouts,
+  heartbeat-based hang detection, bounded re-execution of tasks whose
+  worker crashed, and degradation to serial in-parent execution when
+  the restart budget runs out.
 
 Determinism: a worker computes rows with exactly the same
 ``run_experiment`` call the in-parent path uses, and nothing about
 scheduling (or supervision — re-execution reruns the same seeded body)
 feeds the computation, so rows are invariant to ``--jobs`` and to any
 chaos schedule that lets the run complete.  Results are *reported* in
-submission order; only checkpoint entries land in completion order.
+submission order.  Each task stores its rows in the result cache as it
+finishes, so the cache is the batch's crash-recovery record: rerunning
+a killed batch replays finished experiments as hits.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ class ParallelExecutor:
     ) -> list[ExperimentOutcome]:
         """Execute ``exp_ids``; return outcomes in submission order.
 
-        ``on_complete`` fires in *completion* order (the checkpoint
-        hook — the parent is the only writer).  With
+        ``on_complete`` fires in *completion* order, in the parent.  With
         ``stop_on_failure`` a failure stops launching new work; already
         running experiments finish, unstarted ones come back
         ``"skipped"``.

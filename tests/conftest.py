@@ -12,7 +12,7 @@ from repro.core.model import ConflictKind, ConflictModel
 def _no_result_cache(monkeypatch):
     """Keep the CLI's result cache off by default in tests.
 
-    Call-count assertions (retries, resume, keep-going) count actual
+    Call-count assertions (retries, reruns, keep-going) count actual
     runner invocations; a warm cache would satisfy them without
     running anything.  Cache-specific tests opt back in by deleting
     the variable or passing --cache explicitly.

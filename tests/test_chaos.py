@@ -1,5 +1,5 @@
-"""Crash-tolerance layer: checkpoint journal recovery, seeded chaos,
-supervised worker pool, and the chaos determinism gate.
+"""Crash-tolerance layer: the result cache as the crash-recovery record,
+seeded chaos, supervised worker pool, and the chaos determinism gate.
 
 The headline contract under test: with any seeded chaos schedule that
 lets the run complete, result rows are byte-identical to the fault-free
@@ -20,15 +20,13 @@ from repro.cli import main
 from repro.errors import FaultInjectionError
 from repro.experiments import EXPERIMENTS, register_experiment
 from repro.experiments.registry import _SPECS
-from repro.faults import ChaosPlan, corrupt_bytes, tear_tail
+from repro.faults import ChaosPlan, corrupt_bytes
 from repro.obs import capture
 from repro.parallel import (
-    CheckpointJournal,
     ParallelExecutor,
     ResultCache,
     RetryPolicy,
     atomic_write_text,
-    recover,
     scan_cache_dir,
 )
 from repro.parallel.cache_cli import cache_main
@@ -79,93 +77,77 @@ class TestAtomicWrite:
 
 # ---------------------------------------------------------------------------
 class TestJournal:
+    """The result cache is the only record of finished work: entries
+    round-trip, damage costs only the damaged entry (a miss, then a
+    rewrite), and another configuration is another key."""
+
+    def _cache(self, tmp_path):
+        return ResultCache(tmp_path / "cache", fingerprint="f" * 64)
+
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=True, seed=7) as journal:
-            journal.mark_done("fig2a", {"status": "ok", "elapsed_s": 1.5})
-            journal.mark_done("fig2b", {"status": "failed", "error": "x"})
-            journal.mark_done("fig2a", {"status": "ok", "elapsed_s": 9.0})
-        rec = recover(path, truncate=False)
-        assert rec.header == {"version": 1, "quick": True, "seed": 7}
-        done = rec.done_map()
-        assert done["fig2a"] == {"status": "ok", "elapsed_s": 9.0}  # latest
-        assert done["fig2b"]["status"] == "failed"
-        assert not rec.truncated
+        cache = self._cache(tmp_path)
+        cache.put_rows("fig2a", [{"x": 1.5}], {}, quick=True, seed=7)
+        cache.put_rows("fig2b", [{"x": 2}], {}, quick=True, seed=7)
+        cache.put_rows("fig2a", [{"x": 9.0}], {}, quick=True, seed=7)
+        # one entry per key, the latest write wins
+        assert len(list(cache.root.glob("fig2a-*.json"))) == 1
+        assert cache.get_rows("fig2a", {}, quick=True, seed=7) == [{"x": 9.0}]
+        assert cache.get_rows("fig2b", {}, quick=True, seed=7) == [{"x": 2}]
+        assert [r.status for r in cache.scan()] == ["ok", "ok"]
 
     def test_torn_tail_truncated_to_last_durable_record(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            journal.mark_done("a", {"status": "ok"})
-            journal.mark_done("b", {"status": "ok"})
-        clean = path.read_bytes()
-        cut = tear_tail(path)  # crash mid-append of the final record
-        assert cut > 0
-        rec = recover(path)
-        assert rec.truncated and rec.dropped_records == 1
-        assert set(rec.done_map()) == {"a"}  # b's record was torn
-        # the file itself is now the durable prefix of the clean journal
-        assert clean.startswith(path.read_bytes())
-        # reopening continues from the recovered history
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            assert set(journal.done_map()) == {"a"}
-            journal.mark_done("b", {"status": "ok"})
-        assert set(recover(path, truncate=False).done_map()) == {"a", "b"}
+        """A truncated entry is a miss; the rerun rewrites it and leaves
+        every other entry alone."""
+        cache = self._cache(tmp_path)
+        cache.put_rows("a", [{"x": 1}], {}, quick=False, seed=None)
+        cache.put_rows("b", [{"x": 2}], {}, quick=False, seed=None)
+        (entry,) = cache.root.glob("b-*.json")
+        clean = entry.read_bytes()
+        entry.write_bytes(clean[: len(clean) // 2])
+        assert cache.get_rows("b", {}, quick=False, seed=None) is None
+        assert cache.get_rows("a", {}, quick=False, seed=None) == [{"x": 1}]
+        cache.put_rows("b", [{"x": 2}], {}, quick=False, seed=None)
+        assert entry.read_bytes() == clean
+        assert cache.get_rows("b", {}, quick=False, seed=None) == [{"x": 2}]
 
     def test_bitflip_drops_from_damage_onward(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=1) as journal:
-            for i in range(6):
-                journal.mark_done(f"e{i}", {"status": "ok"})
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[3] = lines[3].replace(b'"status"', b'"statXs"', 1)  # bad crc
-        path.write_bytes(b"".join(lines))
-        rec = recover(path)
-        assert rec.truncated
-        assert set(rec.done_map()) == {"e0", "e1"}  # seq 1..2; 3 is damaged
+        """Bit rot in one entry costs that entry only."""
+        cache = self._cache(tmp_path)
+        for i in range(6):
+            cache.put_rows(f"e{i}", [{"i": i}], {}, quick=False, seed=1)
+        (entry,) = cache.root.glob("e3-*.json")
+        entry.write_bytes(entry.read_bytes().replace(b'"i"', b'"X"', 1))
+        hits = {
+            f"e{i}": cache.get_rows(f"e{i}", {}, quick=False, seed=1)
+            for i in range(6)
+        }
+        assert [e for e, rows in hits.items() if rows is None] == ["e3"]
 
     def test_incompatible_config_rotated_aside(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=True, seed=1) as journal:
-            journal.mark_done("a", {"status": "ok"})
-        journal = CheckpointJournal(path, quick=True, seed=2).open()
-        try:
-            assert journal.rotated is not None
-            assert journal.rotated.header["seed"] == 1
-            assert journal.done_map() == {}
-        finally:
-            journal.close()
-        assert path.with_name(path.name + ".old").exists()
-
-    def test_legacy_blob_imported_for_same_config(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "quick": False,
-                    "seed": 5,
-                    "done": {"fig2a": {"status": "ok", "elapsed_s": 2.0}},
-                }
-            )
-        )
-        journal = CheckpointJournal(path, quick=False, seed=5).open()
-        try:
-            assert journal.done_map()["fig2a"]["status"] == "ok"
-        finally:
-            journal.close()
-        # and the history is now in journal format, durably
-        assert recover(path, truncate=False).done_map()["fig2a"][
-            "status"
-        ] == "ok"
+        """A different seed is a different key: it recomputes, and the
+        old configuration's entry stays untouched."""
+        cache = self._cache(tmp_path)
+        cache.put_rows("a", [{"x": 1}], {}, quick=True, seed=1)
+        (old,) = cache.root.glob("a-*.json")
+        before = old.read_bytes()
+        assert cache.get_rows("a", {}, quick=True, seed=2) is None
+        cache.put_rows("a", [{"x": 2}], {}, quick=True, seed=2)
+        assert len(list(cache.root.glob("a-*.json"))) == 2
+        assert old.read_bytes() == before
+        assert cache.get_rows("a", {}, quick=True, seed=1) == [{"x": 1}]
 
     def test_recovery_emits_event_and_counter(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, quick=False, seed=None) as journal:
-            journal.mark_done("a", {"status": "ok"})
-        tear_tail(path)
+        cache = self._cache(tmp_path)
+        cache.put_rows("a", [{"x": 1}], {}, quick=False, seed=None)
+        (entry,) = cache.root.glob("a-*.json")
+        corrupt_bytes(entry, seed=5)
         with capture() as cap:
-            recover(path)
-        assert cap.snapshot()["counters"]["journal_recoveries"] == 1
-        assert any(e.kind == "journal_recovered" for e in cap.events)
+            assert cache.get_rows("a", {}, quick=False, seed=None) is None
+        counters = cap.snapshot()["counters"]
+        assert counters["cache_corrupt"] == 1
+        assert counters["cache_misses"] == 1
+        (event,) = [e for e in cap.events if e.kind == "cache_miss"]
+        assert event.detail["corrupt"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -296,76 +278,81 @@ class TestSupervisedPool:
 
 # ---------------------------------------------------------------------------
 class TestKillMidCheckpointWrite:
-    def test_sigkill_mid_write_resumes_byte_identical(self, scratch, tmp_path):
-        """Satellite 3: a batch SIGKILLed mid-checkpoint-append (modeled
-        by the seeded torn tail a kill leaves) recovers to the last
-        durable record, and the resumed run's artifacts are
-        byte-identical to an uninterrupted run."""
+    def test_sigkill_mid_write_resumes_byte_identical(
+        self, scratch, tmp_path, capsys
+    ):
+        """A batch SIGKILLed mid-entry-write (modeled by what the kill
+        leaves: no entry, only temp litter) recovers by rerunning the
+        same command; the rerun's artifacts are byte-identical to an
+        uninterrupted run."""
         runner = _SeededRows()
         ids = [scratch(f"zz_kr{i}", runner) for i in range(4)]
         out_clean, out_resumed = tmp_path / "clean", tmp_path / "resumed"
-        ck_clean = tmp_path / "ck_clean.json"
-        ck_torn = tmp_path / "ck_torn.json"
-        base = [*ids, "--seed", "13", "--json", "--no-cache"]
-        assert main(
-            [*base, "--out", str(out_clean), "--checkpoint", str(ck_clean)]
-        ) == 0
-        # an interrupted run: completed prefix, then killed mid-append
-        assert main(
-            [ids[0], ids[1], "--seed", "13", "--no-cache",
-             "--checkpoint", str(ck_torn)]
-        ) == 0
-        assert tear_tail(ck_torn) > 0  # the kill tears ids[1]'s record
-        assert set(recover(ck_torn, truncate=False).done_map()) == {ids[0]}
-        assert main(
-            [*base, "--out", str(out_resumed), "--checkpoint", str(ck_torn),
-             "--resume"]
-        ) == 0
-        # ids[0] was skipped, everything else re-ran; rows byte-identical
-        for exp_id in ids[1:]:
+        cache_dir = tmp_path / "cache"
+        cached = ["--cache", "--cache-dir", str(cache_dir)]
+        base = [*ids, "--seed", "13", "--json"]
+        assert main([*base, "--no-cache", "--out", str(out_clean)]) == 0
+        # an interrupted run: completed prefix, then killed mid-write
+        assert main([ids[0], ids[1], "--seed", "13", *cached]) == 0
+        (entry,) = cache_dir.glob(f"{ids[1]}-*.json")
+        entry.with_name(entry.name + ".tmp.4242").write_bytes(
+            entry.read_bytes()[:10]
+        )
+        entry.unlink()
+        capsys.readouterr()
+        assert main([*base, *cached, "--out", str(out_resumed)]) == 0
+        out = capsys.readouterr().out
+        # ids[0] was a cache hit, everything else re-ran
+        hits = [line for line in out.splitlines() if "(cache hit)" in line]
+        assert len(hits) == 1 and hits[0].startswith(f"[{ids[0]} completed")
+        for exp_id in ids:
             assert (out_resumed / f"{exp_id}.json").read_bytes() == (
                 out_clean / f"{exp_id}.json"
             ).read_bytes()
-        assert set(recover(ck_torn, truncate=False).done_map()) == set(ids)
+        assert [r.status for r in scan_cache_dir(cache_dir)] == ["ok"] * 4
 
 
 # ---------------------------------------------------------------------------
 class TestChaosCLI:
     def test_chaos_run_matches_fault_free_serial(self, scratch, tmp_path,
                                                  capsys):
-        """The acceptance gate in miniature: --jobs 4 --chaos with a
-        mid-run journal truncation completes with rows byte-identical
-        to the fault-free --jobs 1 run, and restart/recovery counts
+        """The acceptance gate in miniature: --jobs 4 --chaos over a
+        cache holding one good and one damaged entry completes with
+        rows byte-identical to the fault-free --jobs 1 run, rewrites
+        the damaged entry, and the hit/corrupt and restart counts
         appear in the metrics snapshot and trace JSONL."""
         runner = _SeededRows()
         ids = [scratch(f"zz_cg{i}", runner) for i in range(5)]
         out_serial, out_chaos = tmp_path / "serial", tmp_path / "chaos"
-        ckpt = tmp_path / "ckpt.json"
-        base = [*ids, "--seed", "3", "--json", "--no-cache"]
-        assert main([*base, "--jobs", "1", "--out", str(out_serial)]) == 0
-
-        # interrupted prefix + torn journal, then the chaos resume run
+        cache_dir = tmp_path / "cache"
+        cached = ["--cache", "--cache-dir", str(cache_dir)]
+        base = [*ids, "--seed", "3", "--json"]
         assert main(
-            [ids[0], "--seed", "3", "--no-cache", "--checkpoint", str(ckpt)]
+            [*base, "--no-cache", "--jobs", "1", "--out", str(out_serial)]
         ) == 0
-        tear_tail(ckpt)
+
+        # an interrupted prefix, then bit rot in its second entry
+        assert main([ids[0], ids[1], "--seed", "3", *cached]) == 0
+        (entry,) = cache_dir.glob(f"{ids[1]}-*.json")
+        assert corrupt_bytes(entry, seed=5) > 0
         metrics = tmp_path / "metrics.json"
         trace = tmp_path / "trace.jsonl"
         capsys.readouterr()
         assert main(
-            [*base, "--jobs", "4", "--chaos", "1234", "--resume",
-             "--checkpoint", str(ckpt), "--out", str(out_chaos),
+            [*base, *cached, "--jobs", "4", "--chaos", "1234",
+             "--out", str(out_chaos),
              "--metrics-out", str(metrics), "--trace-out", str(trace)]
         ) == 0
-        err = capsys.readouterr().err
-        assert "recovered a torn tail" in err
         for exp_id in ids:
-            if (out_chaos / f"{exp_id}.json").exists():
-                assert (out_chaos / f"{exp_id}.json").read_bytes() == (
-                    out_serial / f"{exp_id}.json"
-                ).read_bytes()
-        # chaos at kill_rate 0.25 over 5 tasks with this seed must bite
+            assert (out_chaos / f"{exp_id}.json").read_bytes() == (
+                out_serial / f"{exp_id}.json"
+            ).read_bytes()
+        # the damaged entry was a miss and has been rewritten
+        assert [r.status for r in scan_cache_dir(cache_dir)] == ["ok"] * 5
         counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("cache_hits", 0) >= 1
+        assert counters.get("cache_corrupt") == 1
+        # chaos at kill_rate 0.25 over 5 tasks with this seed must bite
         assert counters.get("worker_crashes", 0) > 0
         kinds = {
             json.loads(line)["kind"] for line in trace.read_text().splitlines()
@@ -428,6 +415,20 @@ class TestCacheVerifyPrune:
         litter.write_text("partial")
         assert cache_main(["prune", "--cache-dir", str(cache_dir)]) == 0
         assert not litter.exists()
+
+    def test_verify_reads_the_run_cache_dir_env(
+        self, scratch, tmp_path, monkeypatch, capsys
+    ):
+        """``repro cache verify`` defaults to the directory runs write:
+        ``$REPRO_CACHE_DIR`` when set."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
+        exp_id = scratch("zz_envdir", _rows)
+        assert main([exp_id, "--cache"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "verify", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache_dir"] == str(tmp_path / "envcache")
+        assert payload["entries"] == 1 and payload["ok"] == 1
 
     def test_cache_subcommand_dispatch(self, tmp_path, capsys):
         assert main(

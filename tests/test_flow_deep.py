@@ -224,7 +224,6 @@ class TestRealTree:
         assert result.ok, [f.message for f in result.findings]
         # the chaos-harness writes stay visible as baselined items
         assert {b["entry"] for b in result.baselined} == {
-            "repro.faults.chaos:tear_tail",
             "repro.faults.chaos:corrupt_bytes",
         }
 

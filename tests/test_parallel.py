@@ -34,6 +34,7 @@ from repro.parallel import (
     RetryPolicy,
     SupervisedPool,
     cache_key,
+    scan_cache_dir,
 )
 from repro.parallel.supervisor import ShardTask
 
@@ -173,11 +174,13 @@ def _runs(path) -> int:
         return 0
 
 
-def _ckpt_done(path) -> dict:
-    """Replay a checkpoint journal's done map (read-only)."""
-    from repro.parallel import recover
-
-    return recover(path, truncate=False).done_map()
+def _cached_ids(cache_dir) -> set[str]:
+    """Experiment ids with a checksum-verified entry under ``cache_dir``."""
+    return {
+        r.path.name.rsplit("-", 1)[0]
+        for r in scan_cache_dir(cache_dir)
+        if r.status == "ok"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -457,47 +460,40 @@ class TestCLIParallel:
         scratch("zz_pa", _MarkingRunner(mark_a))
         scratch("zz_pb", _fail)
         scratch("zz_pc", _MarkingRunner(mark_c))
-        ckpt = tmp_path / "ckpt.json"
+        cache_dir = tmp_path / "cache"
         batch = ["zz_pa", "zz_pb", "zz_pc", "--jobs", "2", "--keep-going",
-                 "--checkpoint", str(ckpt)]
+                 "--cache", "--cache-dir", str(cache_dir)]
         assert main(batch) == 1  # zz_pb failed, others completed
-        done = _ckpt_done(ckpt)
-        assert done["zz_pa"]["status"] == "ok"
-        assert done["zz_pb"]["status"] == "failed"
-        assert done["zz_pb"]["error_type"] == "SimulationError"
-        assert done["zz_pc"]["status"] == "ok"
+        # failures are never cached
+        assert _cached_ids(cache_dir) == {"zz_pa", "zz_pc"}
         assert _runs(mark_a) == 1 and _runs(mark_c) == 1
-        # resume: completed experiments are skipped, the failure re-runs
-        assert main([*batch, "--resume"]) == 1
+        # rerun: completed experiments are cache hits, the failure re-runs
+        assert main(batch) == 1
         assert _runs(mark_a) == 1 and _runs(mark_c) == 1
 
     def test_killed_batch_resumes_where_it_stopped(self, scratch, tmp_path):
-        """A batch interrupted mid-run (checkpoint holds its completed
-        prefix) must skip exactly the finished experiments on --resume."""
+        """A batch interrupted mid-run (the cache holds its completed
+        prefix) must rerun exactly the unfinished experiments."""
         mark_a, mark_b = tmp_path / "a.log", tmp_path / "b.log"
         scratch("zz_ra", _MarkingRunner(mark_a))
         scratch("zz_rb", _MarkingRunner(mark_b))
-        ckpt = tmp_path / "ckpt.json"
+        cache_dir = tmp_path / "cache"
+        cached = ["--cache", "--cache-dir", str(cache_dir)]
         # first invocation "dies" after completing only zz_ra
-        assert main(["zz_ra", "--checkpoint", str(ckpt)]) == 0
-        assert main(
-            ["zz_ra", "zz_rb", "--jobs", "2", "--checkpoint", str(ckpt),
-             "--resume"]
-        ) == 0
+        assert main(["zz_ra", *cached]) == 0
+        assert main(["zz_ra", "zz_rb", "--jobs", "2", *cached]) == 0
         assert _runs(mark_a) == 1  # not re-run
         assert _runs(mark_b) == 1
-        done = _ckpt_done(ckpt)
-        assert set(done) == {"zz_ra", "zz_rb"}
+        assert _cached_ids(cache_dir) == {"zz_ra", "zz_rb"}
 
     def test_sigkill_mid_checkpoint_write_resumes_byte_identical(
         self, scratch, tmp_path, capsys
     ):
-        """SIGKILL during a journal append leaves a torn final record.
-        Recovery must truncate to the last durable record, and the
-        resumed run's rows must be byte-identical to an uninterrupted
-        run (the crash-consistency headline, docs/ROBUSTNESS.md §3)."""
-        from repro.faults import tear_tail
-
+        """SIGKILL during a cache-entry write leaves the previous entry
+        (here: none) plus temp litter, never a torn entry.  Rerunning
+        the same command recomputes exactly that experiment, and its
+        rows are byte-identical to an uninterrupted run
+        (docs/ROBUSTNESS.md)."""
         marks = [tmp_path / f"{n}.log" for n in "abc"]
         ids = [
             scratch(f"zz_tk{n}", _MarkingRunner(m))
@@ -505,25 +501,26 @@ class TestCLIParallel:
         ]
         clean_out = tmp_path / "clean"
         assert main([*ids, "--json", "--out", str(clean_out)]) == 0
-        # interrupted run: two experiments done, then the journal's
-        # tail is torn exactly as a kill mid-append would leave it
-        ckpt = tmp_path / "ckpt.json"
-        assert main([ids[0], ids[1], "--checkpoint", str(ckpt)]) == 0
-        assert tear_tail(ckpt) > 0
-        done = _ckpt_done(ckpt)
-        assert set(done) == {ids[0]}  # recovered to last durable record
-        # resume: the torn record's experiment re-runs, the durable one
-        # is skipped, and every row matches the uninterrupted run
+        # interrupted run: two experiments done, then killed while
+        # writing the second one's entry (before os.replace)
+        cache_dir = tmp_path / "cache"
+        cached = ["--cache", "--cache-dir", str(cache_dir)]
+        assert main([ids[0], ids[1], *cached]) == 0
+        (entry,) = cache_dir.glob(f"{ids[1]}-*.json")
+        entry.with_name(entry.name + ".tmp.4242").write_text('{"vers')
+        entry.unlink()
+        assert _cached_ids(cache_dir) == {ids[0]}
+        # rerun: the lost entry's experiment re-runs, the stored one is
+        # a cache hit, and every row matches the uninterrupted run
         resumed_out = tmp_path / "resumed"
         capsys.readouterr()
         assert main(
-            [*ids, "--jobs", "2", "--checkpoint", str(ckpt), "--resume",
-             "--json", "--out", str(resumed_out)]
+            [*ids, "--jobs", "2", *cached, "--json", "--out", str(resumed_out)]
         ) == 0
-        assert "recovered a torn tail" in capsys.readouterr().err
+        assert "(cache hit)" in capsys.readouterr().out
         assert _runs(marks[0]) == 2  # clean run + interrupted run only
-        assert _runs(marks[1]) == 3  # re-run after the torn record
-        for exp_id in ids[1:]:
+        assert _runs(marks[1]) == 3  # re-run after the lost entry
+        for exp_id in ids:
             assert (resumed_out / f"{exp_id}.json").read_bytes() == (
                 clean_out / f"{exp_id}.json"
             ).read_bytes()

@@ -1,5 +1,6 @@
 """Hardened experiment runner: registration, watchdog, retries,
-checkpoint/resume, and the CLI's --keep-going failure handling."""
+rerun-over-the-cache recovery, and the CLI's --keep-going failure
+handling."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from repro.errors import (
 from repro.experiments import EXPERIMENTS, register_experiment, run_experiment
 from repro.experiments.registry import _SPECS
 from repro.experiments.report import render_failures
-from repro.parallel import RetryPolicy
+from repro.parallel import RetryPolicy, scan_cache_dir
 
 
 @pytest.fixture
@@ -43,11 +44,17 @@ def _rows(**kw):
     return [{"x": 1}]
 
 
-def _ckpt_done(path) -> dict:
-    """Replay a checkpoint journal's done map (read-only)."""
-    from repro.parallel import recover
+def _cached(tmp_path) -> list[str]:
+    """CLI flags for a per-test result cache under ``tmp_path``."""
+    return ["--cache", "--cache-dir", str(tmp_path / "cache")]
 
-    return recover(path, truncate=False).done_map()
+
+def _entries(tmp_path, exp_id) -> list:
+    """Cache entries stored for ``exp_id`` (all checksum-verified)."""
+    return [
+        r for r in scan_cache_dir(tmp_path / "cache")
+        if r.path.name.startswith(f"{exp_id}-") and r.status == "ok"
+    ]
 
 
 def _fast_retry(retries: int) -> RetryPolicy:
@@ -222,20 +229,18 @@ class TestCli:
         self, scratch, tmp_path, capsys
     ):
         """At --jobs 1 a plain ValueError is reported like at --jobs N:
-        exit 1, a failure summary and a failed checkpoint record."""
+        exit 1 and a failure summary; a failure is never cached, so a
+        rerun attempts it again."""
 
         def bad_value(**kw):
             raise ValueError("not a repro error")
 
         exp_id = scratch("zz_valueerror", bad_value)
-        ckpt = tmp_path / "ck.json"
-        assert main([exp_id, "--checkpoint", str(ckpt)]) == 1
+        assert main([exp_id, *_cached(tmp_path)]) == 1
         _, err = capsys.readouterr()
         assert "1 experiment(s) FAILED" in err
         assert "ValueError: not a repro error" in err
-        record = _ckpt_done(ckpt)[exp_id]
-        assert record["status"] == "failed"
-        assert record["error_type"] == "ValueError"
+        assert _entries(tmp_path, exp_id) == []
 
     def test_unknown_id_exit_code(self, capsys):
         assert main(["zz_nope"]) == 2
@@ -252,23 +257,20 @@ class TestCli:
 
         good = scratch("zz_ck_good", counted)
         bad = scratch("zz_ck_bad", broken)
-        ckpt = tmp_path / "ck.json"
-        rc = main([good, bad, "--keep-going", "--checkpoint", str(ckpt)])
-        assert rc == 1
-        done = _ckpt_done(ckpt)
-        assert done[good]["status"] == "ok"
-        assert done[bad]["status"] == "failed"
+        args = [good, bad, "--keep-going", *_cached(tmp_path)]
+        assert main(args) == 1
+        assert len(_entries(tmp_path, good)) == 1
+        assert _entries(tmp_path, bad) == []
         assert len(calls) == 1
 
-        # resume: the completed experiment is skipped, the failed one
+        # rerun: the completed experiment is a cache hit, the failed one
         # re-attempted (and it fails again -> still exit 1)
-        rc = main(
-            [good, bad, "--keep-going", "--checkpoint", str(ckpt), "--resume"]
-        )
+        capsys.readouterr()
+        rc = main(args)
         out, _ = capsys.readouterr()
         assert rc == 1
         assert len(calls) == 1  # not re-run
-        assert "skipping" in out
+        assert f"[{good} completed" in out and "(cache hit)" in out
 
     def test_resume_after_fix_exits_clean(self, scratch, tmp_path):
         attempts = []
@@ -280,12 +282,11 @@ class TestCli:
             return [{"x": 1}]
 
         exp_id = scratch("zz_fix", flaky_once)
-        ckpt = tmp_path / "ck.json"
-        args = [exp_id, "--keep-going", "--checkpoint", str(ckpt), "--resume"]
+        args = [exp_id, "--keep-going", *_cached(tmp_path)]
         assert main(args) == 1
-        assert main(args) == 0  # re-attempt succeeds, checkpoint updated
-        assert _ckpt_done(ckpt)[exp_id]["status"] == "ok"
-        assert main(args) == 0  # now skipped entirely
+        assert main(args) == 0  # re-attempt succeeds, entry stored
+        assert len(_entries(tmp_path, exp_id)) == 1
+        assert main(args) == 0  # now a cache hit
         assert len(attempts) == 2
 
     def test_mismatched_checkpoint_ignored(self, scratch, tmp_path, capsys):
@@ -296,24 +297,36 @@ class TestCli:
             return [{"x": 1}]
 
         exp_id = scratch("zz_mismatch", counted)
-        ckpt = tmp_path / "ck.json"
-        assert main([exp_id, "--checkpoint", str(ckpt), "--resume"]) == 0
+        args = [exp_id, *_cached(tmp_path)]
+        assert main(args) == 0
         assert len(calls) == 1
-        # same checkpoint, different seed: must NOT skip
-        rc = main(
-            [exp_id, "--checkpoint", str(ckpt), "--resume", "--seed", "9"]
-        )
-        _, err = capsys.readouterr()
-        assert rc == 0
+        # same cache, different seed: must recompute
+        assert main([*args, "--seed", "9"]) == 0
         assert len(calls) == 2
-        assert "different run" in err
+        assert len(_entries(tmp_path, exp_id)) == 2
+        # and the first configuration's entry still hits
+        capsys.readouterr()
+        assert main(args) == 0
+        assert len(calls) == 2
+        assert "(cache hit)" in capsys.readouterr().out
 
     def test_corrupt_checkpoint_ignored(self, scratch, tmp_path):
-        exp_id = scratch("zz_corrupt", _rows)
-        ckpt = tmp_path / "ck.json"
-        ckpt.write_text("{not json")
-        assert main([exp_id, "--checkpoint", str(ckpt), "--resume"]) == 0
-        assert _ckpt_done(ckpt)[exp_id]["status"] == "ok"
+        """A damaged entry is a miss: the rerun recomputes and rewrites
+        it."""
+        calls = []
+
+        def counted(**kw):
+            calls.append(1)
+            return [{"x": 1}]
+
+        exp_id = scratch("zz_corrupt", counted)
+        args = [exp_id, *_cached(tmp_path)]
+        assert main(args) == 0
+        (entry,) = _entries(tmp_path, exp_id)
+        entry.path.write_text("{not json")
+        assert main(args) == 0
+        assert len(calls) == 2
+        assert len(_entries(tmp_path, exp_id)) == 1
 
     def test_watchdog_with_keep_going_still_reports(self, scratch, capsys):
         """PR acceptance: a hanging experiment is killed by the
