@@ -42,6 +42,7 @@ from repro.analysis.rules import (
     SCOPED_DIRS,
     resolve_selection,
 )
+from repro.analysis.rules.contracts import collect_classes
 from repro.analysis.rules.flow import FlowRuleInfo
 
 __all__ = ["LintResult", "SuppressedFinding", "lint_paths", "lint_sources"]
@@ -275,9 +276,11 @@ def _run_rules(
         for ctx in live:
             for finding in ctx.pragma_findings:
                 route(finding)
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            for finding in rule.check_project(live):
+    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+    if project_rules:
+        classes = collect_classes(live)
+        for rule in project_rules:
+            for finding in rule.check_project(live, classes):
                 route(finding)
     for raw in flow_raw:
         if route(

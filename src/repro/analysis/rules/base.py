@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "Finding",
@@ -96,13 +96,17 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A rule that needs the whole parsed tree (cross-file contracts)."""
+    """A rule that needs the whole parsed tree (cross-file contracts).
+
+    ``classes`` is the run's class graph
+    (:func:`repro.analysis.rules.contracts.collect_classes`), built
+    once by the engine and shared by every project rule."""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
         return iter(())
 
     def check_project(
-        self, ctxs: Iterable[FileContext]
+        self, ctxs: list[FileContext], classes: dict
     ) -> Iterator[Finding]:
         raise NotImplementedError
 

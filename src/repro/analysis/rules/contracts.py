@@ -12,7 +12,9 @@ machine-checked.
 
 The class graph is built textually (base names within the linted
 files), which is exactly right for a project-local linter: every
-protocol root lives in this repository.
+protocol root lives in this repository.  The engine builds it once per
+lint run (:func:`collect_classes`) and hands the same graph to every
+rule here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import Iterable, Iterator
 from repro.analysis.rules.base import FileContext, Finding, ProjectRule
 
 __all__ = [
+    "ClassInfo",
+    "collect_classes",
     "ProtocolMethodsRule",
     "RegistryNameRule",
     "RegistrationRule",
@@ -79,7 +83,8 @@ def _last(name_node: ast.AST) -> str | None:
     return None
 
 
-def _collect_classes(ctxs: Iterable[FileContext]) -> dict[str, ClassInfo]:
+def collect_classes(ctxs: Iterable[FileContext]) -> dict[str, ClassInfo]:
+    """Every class in ``ctxs`` by name (the cross-file class graph)."""
     classes: dict[str, ClassInfo] = {}
     for ctx in ctxs:
         for node in ast.walk(ctx.tree):
@@ -164,9 +169,8 @@ class ProtocolMethodsRule(ProjectRule):
     )
 
     def check_project(
-        self, ctxs: Iterable[FileContext]
+        self, ctxs: list[FileContext], classes: dict[str, ClassInfo]
     ) -> Iterator[Finding]:
-        classes = _collect_classes(ctxs)
         for info in classes.values():
             if not _is_concrete(info):
                 continue
@@ -202,9 +206,8 @@ class RegistryNameRule(ProjectRule):
     )
 
     def check_project(
-        self, ctxs: Iterable[FileContext]
+        self, ctxs: list[FileContext], classes: dict[str, ClassInfo]
     ) -> Iterator[Finding]:
-        classes = _collect_classes(ctxs)
         for info in classes.values():
             if not _is_concrete(info):
                 continue
@@ -239,12 +242,10 @@ class RegistrationRule(ProjectRule):
     )
 
     def check_project(
-        self, ctxs: Iterable[FileContext]
+        self, ctxs: list[FileContext], classes: dict[str, ClassInfo]
     ) -> Iterator[Finding]:
-        ctx_list = list(ctxs)
-        classes = _collect_classes(ctx_list)
-        yield from self._check_workload_exports(classes, ctx_list)
-        yield from self._check_policy_factory(classes, ctx_list)
+        yield from self._check_workload_exports(classes, ctxs)
+        yield from self._check_policy_factory(classes, ctxs)
 
     # -- workloads must be exported from the package __init__ -------------
     def _check_workload_exports(
@@ -341,9 +342,8 @@ class InjectorHookRule(ProjectRule):
     )
 
     def check_project(
-        self, ctxs: Iterable[FileContext]
+        self, ctxs: list[FileContext], classes: dict[str, ClassInfo]
     ) -> Iterator[Finding]:
-        classes = _collect_classes(ctxs)
         root = classes.get("NullInjector")
         hooks = (
             {m for m in root.methods if not m.startswith("_")}

@@ -39,6 +39,11 @@ Parallelism & caching (docs/PERFORMANCE.md):
   change invalidates every entry.  ``--no-cache`` (or
   ``$REPRO_NO_CACHE=1``) disables both lookup and store.
 
+Observability (docs/OBSERVABILITY.md): ``--metrics-out``/``--trace-out``
+run every experiment under :func:`repro.obs.capture`, the one switch
+that records metrics and events, and write the merged snapshot and the
+event stream in submission order, byte-identical at any ``--jobs``.
+
 Resilience (docs/ROBUSTNESS.md):
 
 * ``--timeout`` arms a per-experiment wall-clock watchdog; for
@@ -281,7 +286,7 @@ def _fold_supervision(parent_cap, snaps: list, events: list) -> None:
         if name in _SUPERVISION_COUNTERS and value
     }
     if counters:
-        snaps.append({"counters": counters, "gauges": {}, "histograms": {}})
+        snaps.append({"counters": counters})
 
 
 def _run_batch(
@@ -387,8 +392,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     if argv and argv[0] == "trace":
-        # run one experiment under the trace bus and export its event
-        # stream; see repro.obs.cli and docs/OBSERVABILITY.md
+        # run one experiment under repro.obs.capture() and export its
+        # event stream; see repro.obs.cli and docs/OBSERVABILITY.md
         from repro.obs.cli import main as trace_main
 
         return trace_main(argv[1:])

@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as _np
 
-from repro.htm import (
-    DetDelay,
-    Machine,
-    MachineParams,
-    NoDelay,
-    RandDelay,
-    TunedDelay,
-)
+from repro.htm import Machine, MachineParams, policy_from_name
 from repro.rngutil import DEFAULT_SEED
 from repro.workloads import (
     QueueWorkload,
@@ -48,31 +41,6 @@ FIG3_POLICIES = ("NO_DELAY", "DELAY_TUNED", "DELAY_DET", "DELAY_RAND")
 FIG3_THREADS = (1, 2, 4, 6, 8, 12, 16, 18)
 
 
-def _policy_factory(name: str, workload: Workload, params: MachineParams):
-    if name == "NO_DELAY":
-        return lambda core_id: NoDelay()
-    if name == "DELAY_TUNED":
-        tuned = workload.tuned_delay_cycles(params)
-        return lambda core_id: TunedDelay(tuned)
-    if name == "DELAY_DET":
-        return lambda core_id: DetDelay()
-    if name == "DELAY_RAND":
-        return lambda core_id: RandDelay()
-    if name == "DELAY_RA":
-        from repro.htm import RequestorAbortsDelay
-
-        return lambda core_id: RequestorAbortsDelay()
-    if name == "DELAY_HYBRID":
-        from repro.htm import HybridDelay
-
-        return lambda core_id: HybridDelay()
-    if name == "GREEDY_CM":
-        from repro.htm import GreedyCM
-
-        return lambda core_id: GreedyCM()
-    raise ValueError(f"unknown Figure 3 policy {name!r}")
-
-
 def _rep_worker(
     workload_factory: Callable[[], Workload],
     n: int,
@@ -94,7 +62,13 @@ def _rep_worker(
     """
     params = MachineParams(n_cores=max(n, 1))
     workload = workload_factory()
-    machine = Machine(params, _policy_factory(policy_name, workload, params))
+    tuned = workload.tuned_delay_cycles(params)
+    machine = Machine(
+        params,
+        lambda core_id: policy_from_name(
+            policy_name, params, tuned_cycles=tuned
+        ),
+    )
     machine.load(workload, seed=base_seed + 1009 * n + 7919 * rep)
     stats = machine.run(horizon)
     if verify:

@@ -379,13 +379,14 @@ def _watchdog(seconds: float | None, exp_id: str):
     """Wall-clock kill switch around one experiment attempt.
 
     Uses ``SIGALRM`` so even loops that never re-enter the simulation
-    kernel get interrupted.  Signals only work on the main thread;
-    elsewhere the engine-level deadline (``Machine.run(wall_timeout)``)
-    remains the only enforcement, so we degrade to a warning rather
-    than refusing to run — run experiments through
-    ``repro.parallel.ParallelExecutor`` (or the CLI's ``--jobs``) when
-    hard enforcement matters: its workers run on their own main
-    threads *and* the parent kills overdue worker processes outright.
+    kernel get interrupted.  Signals only work on the main thread.  No
+    experiment runner passes ``Machine.run(wall_timeout=)``, so off the
+    main thread the attempt runs with no wall-clock budget at all; we
+    degrade to a warning rather than refusing to run — run experiments
+    through ``repro.parallel.ParallelExecutor`` (or the CLI's
+    ``--jobs``) when enforcement matters: its workers run on their own
+    main threads *and* the parent kills overdue worker processes
+    outright.
     """
     if seconds is None or seconds <= 0:
         yield
@@ -396,9 +397,10 @@ def _watchdog(seconds: float | None, exp_id: str):
     ):
         logger.warning(
             "experiment %r: timeout=%gs requested off the main thread; "
-            "the SIGALRM watchdog cannot arm here and only engine-level "
-            "deadlines apply — use repro.parallel.ParallelExecutor for "
-            "process-level enforcement",
+            "the SIGALRM watchdog cannot arm here, so this attempt runs "
+            "with no wall-clock budget — use "
+            "repro.parallel.ParallelExecutor for process-level "
+            "enforcement",
             exp_id,
             seconds,
         )

@@ -94,8 +94,7 @@ class CoreMemSystem:
 
         # stats
         self.stats = machine.stats.core(core_id)
-        # metric handles, bound once: registry.reset() zeroes in place,
-        # so these survive the warmup counter reset
+        # metric handles, bound once so the hot path skips the registry lookup
         metrics = machine.metrics
         self._m_txns_started = metrics.counter("txns_started")
         self._m_commits = metrics.counter("commits")

@@ -180,14 +180,12 @@ class Machine:
         self,
         horizon_cycles: float,
         *,
-        warmup_cycles: float = 0.0,
         drain: bool = True,
         wall_timeout: float | None = None,
     ) -> MachineStats:
         """Run all cores until the cycle horizon; returns the stats.
 
-        ``warmup_cycles`` lets caches and contention reach steady state
-        before counters are (re)started.  With ``drain`` (default), no
+        With ``drain`` (default), no
         new operations are issued past the horizon but in-flight ones
         run to completion, so workload verification sees a quiescent
         state (no torn in-flight transactions).  Throughput uses the
@@ -202,8 +200,8 @@ class Machine:
         """
         if not self.cores:
             raise SimulationError("load() a workload before run()")
-        if horizon_cycles <= warmup_cycles:
-            raise InvalidParameterError("horizon must exceed warmup")
+        if horizon_cycles <= 0.0:
+            raise InvalidParameterError("horizon must be positive")
         deadline = None
         if wall_timeout is not None:
             import time
@@ -221,13 +219,9 @@ class Machine:
 
             return prof.phase(name) if prof is not None else nullcontext()
 
-        if warmup_cycles > 0.0:
-            with timed("warmup"):
-                self.sim.run(until=warmup_cycles, wall_deadline=deadline)
-            self._reset_counters()
         with timed("measure"):
             self.sim.run(until=horizon_cycles, wall_deadline=deadline)
-        self.stats.cycles = horizon_cycles - warmup_cycles
+        self.stats.cycles = horizon_cycles
         if drain:
             self.draining = True
             # generous safety horizon: every in-flight op finishes well
@@ -244,17 +238,6 @@ class Machine:
                     "a full extra horizon (livelock?)"
                 )
         return self.stats
-
-    def _reset_counters(self) -> None:
-        # zero the registry in place: controller-held handles keep
-        # pointing at the same instruments after the warmup reset
-        self.metrics.reset()
-        fresh = MachineStats(self.params.n_cores, registry=self.metrics)
-        for mem in self.mems:
-            mem.stats = fresh.core(mem.core_id)
-        for core in self.cores:
-            core.stats = fresh.core(core.core_id)
-        self.stats = fresh
 
     # ------------------------------------------------------------------
     # Probe delivery (directory -> core controller)

@@ -64,18 +64,6 @@ class CommitProfiler:
     def n(self) -> int:
         return self.durations.n
 
-    def record(self, event) -> None:
-        """Trace-bus sink: observe commit events straight off the bus.
-
-        Lets a profiler be fed by ``bus.subscribe(profiler)`` instead of
-        the machine's ``commit_observers`` hook — same event schema as
-        every other sink (docs/OBSERVABILITY.md).  Note bus events carry
-        the *true* duration; estimator-noise faults only perturb the
-        commit-observer path.
-        """
-        if event.kind == "commit" and "duration" in event.detail:
-            self.observe_commit(float(event.detail["duration"]))
-
     def mu_estimate(self) -> float:
         """Estimated mean remaining time at conflict (NaN until data)."""
         if self.durations.n == 0:

@@ -2,19 +2,28 @@
 
 Three coordinated pieces (docs/OBSERVABILITY.md):
 
-* :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
-  of counters, gauges and fixed-edge histograms with cheap no-op
-  handles when disabled, and deterministic snapshot merging.
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters and
+  fixed-edge histograms with cheap no-op handles when nothing records,
+  and deterministic snapshot merging.
 * :mod:`repro.obs.tracebus` — a :class:`TraceBus` of typed
   :class:`ObsEvent` records with JSONL and Chrome ``trace_event``
   serialization.
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler` for per-phase wall
   clock and event-loop occupancy in the simulation kernel.
 
-The usual entry point is :func:`capture`: it installs a fresh registry
-and bus for the duration of a block and hands back everything recorded,
-which is exactly what the CLI's ``--metrics-out``/``--trace-out`` and
-the parallel executor's per-worker collection do.
+:func:`capture` is the one on-switch: it installs a fresh registry and
+bus for the duration of a block and hands back everything recorded::
+
+    with capture() as cap:
+        machine = Machine(params, policy_factory)
+        machine.load(workload, seed=1)
+        machine.run(60_000.0)
+    cap.snapshot()   # {"counters": ..., "histograms": ...}
+    cap.events       # [ObsEvent, ...] in emission order
+
+The CLI's ``--metrics-out``/``--trace-out`` and the parallel executor's
+per-worker collection are built on it.  Outside a capture every emitter
+sees the inert :data:`NULL_REGISTRY` and :data:`NULL_BUS`.
 """
 
 from __future__ import annotations
@@ -24,57 +33,41 @@ from typing import Iterator
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    disable_metrics,
-    enable_metrics,
+    _use_registry,
     get_registry,
     merge_snapshots,
-    use_registry,
 )
 from repro.obs.profile import PhaseProfiler
 from repro.obs.tracebus import (
     EVENT_KINDS,
-    JsonlSink,
-    ListSink,
     NULL_BUS,
     NullBus,
     ObsEvent,
     TraceBus,
+    _use_bus,
     chrome_trace,
-    disable_tracing,
-    enable_tracing,
     get_bus,
     jsonl_line,
-    use_bus,
     write_jsonl,
 )
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
-    "use_registry",
-    "enable_metrics",
-    "disable_metrics",
     "merge_snapshots",
     "ObsEvent",
     "TraceBus",
-    "ListSink",
-    "JsonlSink",
     "NullBus",
     "NULL_BUS",
     "get_bus",
-    "use_bus",
-    "enable_tracing",
-    "disable_tracing",
     "jsonl_line",
     "write_jsonl",
     "chrome_trace",
@@ -87,20 +80,20 @@ __all__ = [
 
 
 def obs_active() -> bool:
-    """True when a live registry or bus is installed process-wide."""
+    """True inside a :func:`capture` block."""
     return get_registry().enabled or get_bus().enabled
 
 
 class Capture:
-    """What :func:`capture` collected: a registry plus an event list."""
+    """What :func:`capture` collected: a registry plus a bus."""
 
-    def __init__(self, registry: MetricsRegistry, sink: ListSink) -> None:
+    def __init__(self, registry: MetricsRegistry, bus: TraceBus) -> None:
         self.registry = registry
-        self._sink = sink
+        self.bus = bus
 
     @property
     def events(self) -> list[ObsEvent]:
-        return self._sink.events
+        return self.bus.events
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()
@@ -117,7 +110,5 @@ def capture() -> Iterator[Capture]:
     """
     registry = MetricsRegistry()
     bus = TraceBus()
-    sink = ListSink()
-    bus.subscribe(sink)
-    with use_registry(registry), use_bus(bus):
-        yield Capture(registry, sink)
+    with _use_registry(registry), _use_bus(bus):
+        yield Capture(registry, bus)

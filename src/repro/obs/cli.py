@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
         description=(
-            "Run one experiment under the trace bus and export its "
-            "structured event stream (docs/OBSERVABILITY.md)"
+            "Run one experiment under an observability capture and "
+            "export its structured event stream (docs/OBSERVABILITY.md)"
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, deterministic histograms.
+"""Process-local metrics: counters and deterministic histograms.
 
 The registry is the numeric half of the observability layer
 (docs/OBSERVABILITY.md).  Three design rules keep it compatible with
@@ -6,8 +6,7 @@ the repository's bit-determinism contract:
 
 * **Integer-only aggregation.**  Counters and histogram bucket counts
   are integers, so merging per-worker snapshots is associative and
-  byte-exact regardless of how trials were sharded.  Gauges are
-  last-write-wins and merged in a caller-specified order.
+  byte-exact regardless of how trials were sharded.
 * **Fixed bucket edges.**  Histograms take their edges at creation and
   never adapt, so two runs (or two workers) always bucket identically.
 * **Cheap no-op handles.**  The module-level registry defaults to
@@ -15,9 +14,10 @@ the repository's bit-determinism contract:
   methods do nothing, so instrumented hot paths cost one attribute
   lookup and a constant call when observability is off.
 
-Per-machine registries chain to the module-level one at handle-creation
-time: when a capture is active (:func:`use_registry`), every increment
-lands both locally (machine stats) and in the capture.
+The only way to install a live module-level registry is
+:func:`repro.obs.capture`.  Per-machine registries chain to it at
+handle-creation time: when a capture is active, every increment lands
+both locally (machine stats) and in the capture.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ from repro.errors import InvalidParameterError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
-    "use_registry",
-    "enable_metrics",
-    "disable_metrics",
     "merge_snapshots",
 ]
 
@@ -61,26 +57,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """Last-write-wins value (e.g. a current queue depth)."""
-
-    __slots__ = ("name", "_value", "_parent")
-
-    def __init__(self, name: str, parent: "Gauge | None" = None) -> None:
-        self.name = name
-        self._value = 0
-        self._parent = parent
-
-    def set(self, value) -> None:
-        self._value = value
-        if self._parent is not None:
-            self._parent.set(value)
-
-    @property
-    def value(self):
         return self._value
 
 
@@ -174,16 +150,13 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
+    """Shared do-nothing counter/histogram."""
 
     __slots__ = ()
     name = "<null>"
     value = 0
 
     def inc(self, n: int = 1) -> None:
-        return None
-
-    def set(self, value) -> None:
         return None
 
     def observe(self, x: float) -> None:
@@ -201,21 +174,15 @@ class NullRegistry:
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def histogram(
         self, name: str, edges: Sequence[float] | None = None
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}
 
     def absorb(self, snap: dict) -> None:
-        return None
-
-    def reset(self) -> None:
         return None
 
 
@@ -236,7 +203,6 @@ class MetricsRegistry:
 
     def __init__(self, parent: "MetricsRegistry | None" = None) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._parent = parent
 
@@ -246,13 +212,6 @@ class MetricsRegistry:
         if handle is None:
             parent = self._parent.counter(name) if self._parent else None
             handle = self._counters[name] = Counter(name, parent)
-        return handle
-
-    def gauge(self, name: str) -> Gauge:
-        handle = self._gauges.get(name)
-        if handle is None:
-            parent = self._parent.gauge(name) if self._parent else None
-            handle = self._gauges[name] = Gauge(name, parent)
         return handle
 
     def histogram(
@@ -290,9 +249,6 @@ class MetricsRegistry:
             "counters": {
                 name: c.value for name, c in sorted(self._counters.items())
             },
-            "gauges": {
-                name: g.value for name, g in sorted(self._gauges.items())
-            },
             "histograms": {
                 name: h.snapshot()
                 for name, h in sorted(self._histograms.items())
@@ -300,14 +256,10 @@ class MetricsRegistry:
         }
 
     def absorb(self, snap: dict) -> None:
-        """Fold one snapshot into this registry (counters add, gauges
-        last-write-wins, histogram counts add).  Callers absorb worker
-        snapshots **in submission order** so gauge merges — the only
-        order-sensitive part — are deterministic."""
+        """Fold one snapshot into this registry (counters and histogram
+        counts add, so the result does not depend on absorb order)."""
         for name, value in snap.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
         for name, hist in snap.get("histograms", {}).items():
             handle = self.histogram(name, hist["edges"])
             for i, count in enumerate(hist["counts"]):
@@ -316,28 +268,13 @@ class MetricsRegistry:
             handle.overflow += hist["overflow"]
             handle.n += hist["n"]
 
-    def reset(self) -> None:
-        """Zero every instrument **in place**: handles bound before the
-        reset keep counting into the same objects afterwards (the HTM
-        warmup reset depends on this)."""
-        for counter in self._counters.values():
-            counter._value = 0
-        for gauge in self._gauges.values():
-            gauge._value = 0
-        for hist in self._histograms.values():
-            hist.counts = [0] * len(hist.counts)
-            hist.underflow = 0
-            hist.overflow = 0
-            hist.n = 0
-
 
 def merge_snapshots(snaps: Sequence[dict]) -> dict:
-    """Merge snapshots **in the given order** into one snapshot.
+    """Merge snapshots into one snapshot.
 
-    Counters and histogram counts are integer sums (order-free); gauges
-    are last-write-wins in ``snaps`` order.  The CLI merges per-worker
-    snapshots in submission order, which makes ``--metrics-out`` output
-    byte-identical at any ``--jobs`` (docs/OBSERVABILITY.md).
+    Counters and histogram counts are integer sums, so the merge is
+    order-free and ``--metrics-out`` output is byte-identical at any
+    ``--jobs`` (docs/OBSERVABILITY.md).
     """
     acc = MetricsRegistry()
     for snap in snaps:
@@ -354,25 +291,12 @@ def get_registry() -> MetricsRegistry | NullRegistry:
     return _active
 
 
-def enable_metrics(
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Install (and return) a live module-level registry."""
-    global _active
-    _active = registry if registry is not None else MetricsRegistry()
-    return _active
-
-
-def disable_metrics() -> None:
-    global _active
-    _active = NULL_REGISTRY
-
-
 @contextmanager
-def use_registry(
-    registry: MetricsRegistry | NullRegistry,
-) -> Iterator[MetricsRegistry | NullRegistry]:
-    """Scoped :func:`enable_metrics`: restores the previous registry."""
+def _use_registry(
+    registry: MetricsRegistry,
+) -> Iterator[MetricsRegistry]:
+    """Install ``registry`` for the block (:func:`repro.obs.capture`'s
+    half); restores the previous registry."""
     global _active
     previous = _active
     _active = registry

@@ -1,7 +1,7 @@
 """Profiling hooks: per-phase wall clock and event-loop occupancy.
 
 A :class:`PhaseProfiler` measures where a machine run spends real time:
-coarse phases (warmup / measure / drain, timed by ``Machine.run``) and
+coarse phases (measure / drain, timed by ``Machine.run``) and
 per-event-label handler time inside the simulation kernel
 (``Simulator.step`` routes event firing through :meth:`record_fire`
 when a profiler is attached).

@@ -3,9 +3,10 @@
 An :class:`ObsEvent` is a timestamped, typed record with a small
 JSON-able detail dict.  Emitters (the HTM machine, the fault injector,
 the synthetic harness, the result cache, the supervised pool) publish
-to the process's active :class:`TraceBus`; sinks subscribe.  To record
-one machine's timeline, subscribe a :class:`ListSink` to a bus installed
-with :func:`use_bus` before the machine is built (the machine binds the
+to the process's active bus, which is the inert :data:`NULL_BUS` unless
+:func:`repro.obs.capture` has installed a :class:`TraceBus`; a live bus
+keeps every event in its ``events`` list.  To record one machine's
+timeline, build the machine inside ``capture()`` (the machine binds the
 active bus at construction).
 
 Canonical event kinds (full schema in docs/OBSERVABILITY.md):
@@ -55,14 +56,9 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "ObsEvent",
     "TraceBus",
-    "ListSink",
-    "JsonlSink",
     "NullBus",
     "NULL_BUS",
     "get_bus",
-    "use_bus",
-    "enable_tracing",
-    "disable_tracing",
     "jsonl_line",
     "write_jsonl",
     "chrome_trace",
@@ -170,61 +166,19 @@ def chrome_trace(events: Iterable[ObsEvent]) -> dict:
     return {"traceEvents": trace_events, "displayTimeUnit": "ns"}
 
 
-class ListSink:
-    """Append every event to a list (the capture sink)."""
-
-    def __init__(self) -> None:
-        self.events: list[ObsEvent] = []
-
-    def record(self, event: ObsEvent) -> None:
-        self.events.append(event)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-
-class JsonlSink:
-    """Accumulate events and write them out as canonical JSONL."""
-
-    def __init__(self) -> None:
-        self.events: list[ObsEvent] = []
-
-    def record(self, event: ObsEvent) -> None:
-        self.events.append(event)
-
-    def dump(self, path) -> int:
-        return write_jsonl(self.events, path)
-
-
 class TraceBus:
-    """Fan events out to subscribed sinks."""
+    """A live bus: records every event, in emission order."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._sinks: list = []
-        self.emitted = 0
-
-    def subscribe(self, sink) -> None:
-        """Attach ``sink`` (anything with ``record(event)``)."""
-        if sink not in self._sinks:
-            self._sinks.append(sink)
-
-    def unsubscribe(self, sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
+        self.events: list[ObsEvent] = []
 
     def emit(self, time: float, kind: str, core: int = -1, **detail) -> ObsEvent:
-        """Build and publish one event; returns it."""
+        """Build and record one event; returns it."""
         event = ObsEvent(time, kind, core, detail)
-        self.publish(event)
+        self.events.append(event)
         return event
-
-    def publish(self, event: ObsEvent) -> None:
-        """Deliver an already-built event (snapshot replay path)."""
-        self.emitted += 1
-        for sink in self._sinks:
-            sink.record(event)
 
 
 class NullBus:
@@ -233,18 +187,8 @@ class NullBus:
     read."""
 
     enabled = False
-    emitted = 0
-
-    def subscribe(self, sink) -> None:
-        return None
-
-    def unsubscribe(self, sink) -> None:
-        return None
 
     def emit(self, time: float, kind: str, core: int = -1, **detail) -> None:
-        return None
-
-    def publish(self, event: ObsEvent) -> None:
         return None
 
 
@@ -259,21 +203,10 @@ def get_bus() -> TraceBus | NullBus:
     return _active
 
 
-def enable_tracing(bus: TraceBus | None = None) -> TraceBus:
-    """Install (and return) a live module-level bus."""
-    global _active
-    _active = bus if bus is not None else TraceBus()
-    return _active
-
-
-def disable_tracing() -> None:
-    global _active
-    _active = NULL_BUS
-
-
 @contextmanager
-def use_bus(bus: TraceBus | NullBus) -> Iterator[TraceBus | NullBus]:
-    """Scoped :func:`enable_tracing`: restores the previous bus."""
+def _use_bus(bus: TraceBus) -> Iterator[TraceBus]:
+    """Install ``bus`` for the block (:func:`repro.obs.capture`'s
+    half); restores the previous bus."""
     global _active
     previous = _active
     _active = bus
@@ -284,7 +217,7 @@ def use_bus(bus: TraceBus | NullBus) -> Iterator[TraceBus | NullBus]:
 
 
 def replay(events: Sequence[ObsEvent], bus: TraceBus | NullBus) -> None:
-    """Publish already-built events onto ``bus`` in order (how worker
+    """Append already-built events to ``bus`` in order (how worker
     event streams are folded into the parent's bus)."""
-    for event in events:
-        bus.publish(event)
+    if bus.enabled:
+        bus.events.extend(events)

@@ -39,7 +39,7 @@ per-experiment captures that feed ``--trace-out``.
 
 The same loop serves intra-experiment fan-out: :meth:`SupervisedPool.
 starmap` runs ``fn(*args)`` shards (Monte-Carlo trial shards, Figure 3
-sweep cells, lint files) and returns their results in task order, so a
+sweep cells) and returns their results in task order, so a
 sharded computation keeps its crash tolerance and stays bit-identical
 at any worker count.
 """
@@ -599,12 +599,11 @@ class SupervisedPool:
         supervision: a shard whose worker dies is re-executed, and an
         exhausted restart budget degrades to serial.
 
-        When observability is active in the parent (:func:`repro.obs.
-        capture` or an enabled module-level registry/bus), each shard
-        runs under a fresh capture and its metric snapshot and trace
-        events are replayed into the parent's registry/bus **in task
-        order** — so ``jobs`` cannot reorder or lose a count or an
-        event relative to the serial loop.
+        When the caller is inside :func:`repro.obs.capture`, each
+        shard runs under a fresh capture of its own and its metric
+        snapshot and trace events are folded into the caller's capture
+        **in task order**, so ``jobs`` cannot reorder or lose a count
+        or an event relative to the serial loop.
 
         A failing shard re-raises its original exception (the
         lowest-index one when several fail), as the serial loop would;

@@ -150,14 +150,11 @@ class Simulator:
     floats; exactness holds below 2**53 cycles, far beyond any run).
     """
 
-    def __init__(self, *, profile: bool = False) -> None:
+    def __init__(self) -> None:
         self.queue = EventQueue()
         self.now = 0.0
         self.events_fired = 0
         self._running = False
-        # optional per-label event counts (cheap profiling: which
-        # component dominates the event stream)
-        self._profile: dict[str, int] | None = {} if profile else None
         # optional repro.obs.profile.PhaseProfiler: when attached,
         # step() routes handler firing through it (wall-clock handler
         # timing + loop occupancy).  Pure observation — timings never
@@ -206,9 +203,6 @@ class Simulator:
             )
         self.now = event.time
         self.events_fired += 1
-        if self._profile is not None:
-            label = event.label or "<unlabeled>"
-            self._profile[label] = self._profile.get(label, 0) + 1
         if self.profiler is not None:
             self.profiler.record_fire(event.label or "<unlabeled>", event.fire)
         else:
@@ -281,8 +275,3 @@ class Simulator:
             if self.profiler is not None:
                 self.profiler.loop_exit()
         return self.now
-
-    def event_profile(self) -> dict[str, int]:
-        """Fired-event counts by label (empty unless constructed with
-        ``profile=True`` — counting costs a dict update per event)."""
-        return dict(self._profile) if self._profile is not None else {}

@@ -7,39 +7,60 @@ import math
 
 import pytest
 
+from repro.errors import InvalidParameterError
 from repro.experiments import fig2, fig3
 from repro.experiments.report import _fmt, ascii_bars, render_series, render_table
-from repro.htm import MachineParams, NoDelay, TunedDelay
+from repro.htm import MachineParams, TunedDelay, policy_from_name
 from repro.workloads import StackWorkload
+
+
+def _build(name: str):
+    """A policy as a Figure 3 cell builds it."""
+    params = MachineParams()
+    tuned = StackWorkload().tuned_delay_cycles(params)
+    return policy_from_name(name, params, tuned_cycles=tuned)
 
 
 class TestFig3Helpers:
     def test_policy_factory_known(self):
-        params = MachineParams()
-        workload = StackWorkload()
         for name in fig3.FIG3_POLICIES:
-            factory = fig3._policy_factory(name, workload, params)
-            policy = factory(0)
-            assert policy is not None
+            assert _build(name) is not None
 
     def test_policy_factory_extensions(self):
-        params = MachineParams()
-        workload = StackWorkload()
+        # the extension panels (ext_bank, ext_listset) use these
         for name in ("DELAY_RA", "DELAY_HYBRID", "GREEDY_CM"):
-            factory = fig3._policy_factory(name, workload, params)
-            assert factory(0) is not None
+            assert _build(name) is not None
 
     def test_policy_factory_unknown(self):
-        with pytest.raises(ValueError):
-            fig3._policy_factory("DELAY_MAGIC", StackWorkload(), MachineParams())
+        with pytest.raises(InvalidParameterError, match="DELAY_MAGIC"):
+            fig3.run_fig3(
+                StackWorkload,
+                threads=(1,),
+                policies=("DELAY_MAGIC",),
+                horizon=5_000.0,
+                seed=1,
+            )
 
-    def test_tuned_factory_uses_workload(self):
-        params = MachineParams()
-        workload = StackWorkload()
-        factory = fig3._policy_factory("DELAY_TUNED", workload, params)
-        policy = factory(0)
-        assert isinstance(policy, TunedDelay)
-        assert policy.tuned_cycles == workload.tuned_delay_cycles(params)
+    def test_tuned_factory_uses_workload(self, monkeypatch):
+        built = []
+
+        def spy(name, params, **kwargs):
+            built.append(policy_from_name(name, params, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(fig3, "policy_from_name", spy)
+        fig3.run_fig3(
+            StackWorkload,
+            threads=(2,),
+            policies=("DELAY_TUNED",),
+            horizon=5_000.0,
+            seed=1,
+        )
+        expected = StackWorkload().tuned_delay_cycles(MachineParams(n_cores=2))
+        assert len(built) == 2
+        for policy in built:
+            assert isinstance(policy, TunedDelay)
+            assert policy.tuned_cycles == expected
 
     def test_run_fig3_minimal(self):
         rows = fig3.run_fig3(

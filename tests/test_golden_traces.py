@@ -2,10 +2,11 @@
 
 Each case replays a small, fully seeded scenario under an observability
 capture and compares the canonical JSONL rendering of its event stream
-against a checked-in golden file in ``tests/golden/``.  Because the
-serialization is canonical (sorted keys, compact separators), *any*
-drift — event ordering, schema fields, simulator timing, policy
-decisions — shows up as a byte diff.
+against a checked-in golden file in ``tests/golden/`` (``<case>.jsonl``),
+and its metrics snapshot against ``<case>.metrics.json``.  Because the
+serialization is canonical (sorted keys), *any* drift — event ordering,
+schema fields, simulator timing, policy decisions, a counter or a
+histogram bucket — shows up as a byte diff.
 
 When a change is intentional, regenerate the goldens and review the
 diff like any other source change::
@@ -16,6 +17,7 @@ diff like any other source change::
 from __future__ import annotations
 
 import difflib
+import json
 import pathlib
 
 import pytest
@@ -34,33 +36,33 @@ def render(events) -> str:
     return "".join(jsonl_line(event) + "\n" for event in events)
 
 
-def fig2_cell_events():
+def render_metrics(snapshot: dict) -> str:
+    return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+
+
+def fig2_cell():
     """One Figure-2 synthetic cell: geometric lengths, B=2000, mu=500."""
     with capture() as cap:
         SyntheticHarness(2000.0, 500.0).run(GeometricLengths(500.0), 4000, 3)
-    return cap.events
+    return cap
 
 
-def fig3_cell_events():
+def fig3_cell():
     """One Figure-3 machine cell: 2 cores, randomized policy, counter."""
     with capture() as cap:
         machine = Machine(MachineParams(n_cores=2), lambda i: RandDelay())
         machine.load(CounterWorkload(), seed=3)
         machine.run(12_000.0)
-    return cap.events
+    return cap
 
 
 CASES = {
-    "fig2_geometric_cell": fig2_cell_events,
-    "fig3_counter_cell": fig3_cell_events,
+    "fig2_geometric_cell": fig2_cell,
+    "fig3_counter_cell": fig3_cell,
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_matches_golden(name, request):
-    golden = GOLDEN_DIR / f"{name}.jsonl"
-    text = render(CASES[name]())
-    assert text, f"scenario {name} produced no events"
+def check_golden(golden: pathlib.Path, text: str, request) -> None:
     if request.config.getoption("--update-golden"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden.write_text(text)
@@ -81,12 +83,30 @@ def test_trace_matches_golden(name, request):
             )
         )
         pytest.fail(
-            f"trace drifted from golden (intentional? rerun with "
+            f"capture drifted from golden (intentional? rerun with "
             f"--update-golden and review):\n{diff[:4000]}"
         )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden(name, request):
+    text = render(CASES[name]().events)
+    assert text, f"scenario {name} produced no events"
+    check_golden(GOLDEN_DIR / f"{name}.jsonl", text, request)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_metrics_match_golden(name, request):
+    snapshot = CASES[name]().snapshot()
+    assert snapshot["counters"], f"scenario {name} counted nothing"
+    check_golden(
+        GOLDEN_DIR / f"{name}.metrics.json", render_metrics(snapshot), request
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_scenarios_are_reproducible(name):
     """The golden scenarios themselves are deterministic run-to-run."""
-    assert render(CASES[name]()) == render(CASES[name]())
+    first, second = CASES[name](), CASES[name]()
+    assert render(first.events) == render(second.events)
+    assert first.snapshot() == second.snapshot()

@@ -82,16 +82,6 @@ class TestInvariants:
         with pytest.raises(SimulationError):
             machine.run(1000.0)
 
-    def test_warmup_resets_counters(self):
-        workload = CounterWorkload()
-        params = MachineParams(n_cores=2)
-        machine = Machine(params, lambda i: NoDelay())
-        machine.load(workload, seed=1)
-        stats = machine.run(60_000.0, warmup_cycles=30_000.0)
-        assert stats.cycles == 30_000.0
-        # committed counter includes warmup ops; stats exclude them
-        assert workload.committed >= stats.ops_completed
-
 
 class TestWaitsForGraph:
     def test_edges_balance(self):

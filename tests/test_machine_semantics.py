@@ -87,26 +87,17 @@ class TestMixedPolicyFleet:
 
 
 class TestRunValidation:
-    def test_horizon_must_exceed_warmup(self):
+    def test_horizon_must_be_positive(self):
         machine = Machine(MachineParams(n_cores=2), lambda i: NoDelay())
         machine.load(CounterWorkload(), seed=1)
         from repro.errors import InvalidParameterError
 
-        with pytest.raises(InvalidParameterError):
-            machine.run(100.0, warmup_cycles=100.0)
+        for horizon in (0.0, -100.0):
+            with pytest.raises(InvalidParameterError):
+                machine.run(horizon)
 
     def test_run_before_load(self):
         machine = Machine(MachineParams(n_cores=2), lambda i: NoDelay())
         with pytest.raises(SimulationError):
             machine.run(100.0)
 
-    def test_warmup_counters_restart(self):
-        machine = Machine(MachineParams(n_cores=2), lambda i: NoDelay())
-        workload = CounterWorkload()
-        machine.load(workload, seed=1)
-        stats = machine.run(80_000.0, warmup_cycles=40_000.0)
-        # stats object was swapped at warmup: cores' stats are the new one
-        assert machine.stats is stats
-        for core in machine.cores:
-            assert core.stats is stats.core(core.core_id)
-        workload.verify(machine)

@@ -146,7 +146,7 @@ class TestCliDeterminism:
     def test_metrics_snapshot_is_wellformed(self, tmp_path, capsys):
         metrics, trace = self.run_cli(tmp_path, 2, "shape")
         snap = json.loads(metrics)
-        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"].get("synthetic_runs", 0) > 0
         for line in trace.splitlines():
             record = json.loads(line)

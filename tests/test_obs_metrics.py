@@ -5,17 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.obs import capture
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
-    disable_metrics,
-    enable_metrics,
+    _use_registry,
     get_registry,
     merge_snapshots,
-    use_registry,
 )
 
 
@@ -34,14 +32,6 @@ class TestInstruments:
         assert parent.value == 3
         parent.inc()  # parent-only increments do not flow down
         assert child.value == 3
-
-    def test_gauge_last_write_wins(self):
-        parent = Gauge("depth")
-        g = Gauge("depth", parent)
-        g.set(7)
-        g.set(2)
-        assert g.value == 2
-        assert parent.value == 2
 
     def test_histogram_bucketing(self):
         h = Histogram("lat", (0.0, 1.0, 2.0, 4.0))
@@ -71,7 +61,6 @@ class TestRegistry:
     def test_handles_are_cached(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         h = reg.histogram("h", (0.0, 1.0))
         assert reg.histogram("h") is h
 
@@ -103,24 +92,11 @@ class TestRegistry:
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        reg.gauge("g").set(3)
         reg.histogram("h", (0.0, 1.0)).observe(0.5)
         snap = reg.snapshot()
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"] == {"c": 1}
-        assert snap["gauges"] == {"g": 3}
         assert snap["histograms"]["h"]["n"] == 1
-
-    def test_reset_zeroes_in_place(self):
-        reg = MetricsRegistry()
-        handle = reg.counter("c")
-        hist = reg.histogram("h", (0.0, 1.0))
-        handle.inc(5)
-        hist.observe(0.5)
-        reg.reset()
-        assert handle.value == 0
-        assert hist.n == 0 and hist.counts == [0]
-        handle.inc()  # pre-reset handles keep counting into the registry
-        assert reg.snapshot()["counters"]["c"] == 1
 
 
 class TestMerge:
@@ -135,19 +111,6 @@ class TestMerge:
         merged = merge_snapshots([a, b])
         assert merged["counters"] == {"x": 11, "y": 2}
         assert merge_snapshots([b, a])["counters"] == merged["counters"]
-
-    def test_gauges_merge_last_write_wins_in_order(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(1)
-        b.gauge("depth").set(9)
-        assert (
-            merge_snapshots([a.snapshot(), b.snapshot()])["gauges"]["depth"]
-            == 9
-        )
-        assert (
-            merge_snapshots([b.snapshot(), a.snapshot()])["gauges"]["depth"]
-            == 1
-        )
 
     def test_histograms_merge_exactly(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -178,26 +141,19 @@ class TestModuleState:
 
     def test_null_registry_is_inert(self):
         NULL_REGISTRY.counter("c").inc()
-        NULL_REGISTRY.gauge("g").set(1)
         NULL_REGISTRY.histogram("h").observe(0.5)
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+        assert NULL_REGISTRY.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_enable_disable_roundtrip(self):
-        reg = enable_metrics()
-        try:
-            assert get_registry() is reg
-            assert reg.enabled
-        finally:
-            disable_metrics()
+        # capture() is the only on-switch: live inside, null after
+        with capture() as cap:
+            assert get_registry() is cap.registry
+            assert cap.registry.enabled
         assert get_registry() is NULL_REGISTRY
 
     def test_use_registry_restores_previous(self):
         inner = MetricsRegistry()
-        with use_registry(inner):
+        with _use_registry(inner):
             assert get_registry() is inner
             get_registry().counter("seen").inc()
         assert get_registry() is NULL_REGISTRY

@@ -7,18 +7,14 @@ import json
 from repro.obs import capture, obs_active
 from repro.obs.tracebus import (
     EVENT_KINDS,
-    JsonlSink,
-    ListSink,
     NULL_BUS,
     ObsEvent,
     TraceBus,
+    _use_bus,
     chrome_trace,
-    disable_tracing,
-    enable_tracing,
     get_bus,
     jsonl_line,
     replay,
-    use_bus,
     write_jsonl,
 )
 
@@ -75,44 +71,31 @@ class TestChromeTrace:
 
 
 class TestBus:
-    def test_emit_fans_out_and_counts(self):
+    def test_emit_records_in_order(self):
         bus = TraceBus()
-        a, b = ListSink(), ListSink()
-        bus.subscribe(a)
-        bus.subscribe(b)
-        bus.subscribe(a)  # double-subscribe is a no-op
-        event = bus.emit(1.0, "txn_begin", 0)
-        assert bus.emitted == 1
-        assert a.events == b.events == [event]
-        bus.unsubscribe(b)
-        bus.emit(2.0, "commit", 0)
-        assert len(a.events) == 2 and len(b.events) == 1
+        first = bus.emit(1.0, "txn_begin", 0)
+        second = bus.emit(2.0, "commit", 0, duration=1.0)
+        assert bus.events == [first, second]
+        assert second.detail == {"duration": 1.0}
 
     def test_jsonl_sink_dump(self, tmp_path):
-        bus = TraceBus()
-        sink = JsonlSink()
-        bus.subscribe(sink)
-        bus.emit(1.0, "cache_hit", -1, exp_id="fig2a")
+        # the capture is the sink: its events dump as canonical JSONL
+        with capture() as cap:
+            get_bus().emit(1.0, "cache_hit", -1, exp_id="fig2a")
         path = tmp_path / "out.jsonl"
-        assert sink.dump(path) == 1
+        assert write_jsonl(cap.events, path) == 1
         assert json.loads(path.read_text())["data"] == {"exp_id": "fig2a"}
 
     def test_replay_preserves_order(self):
         events = [ObsEvent(float(i), "txn_begin", i) for i in range(3)]
         bus = TraceBus()
-        sink = ListSink()
-        bus.subscribe(sink)
+        bus.emit(0.0, "commit", 0)
         replay(events, bus)
-        assert sink.events == events
-        assert bus.emitted == 3
+        assert bus.events[1:] == events
 
     def test_null_bus_is_inert(self):
-        sink = ListSink()
-        NULL_BUS.subscribe(sink)
         assert NULL_BUS.emit(1.0, "commit", 0) is None
-        NULL_BUS.publish(ObsEvent(1.0, "commit", 0))
-        assert sink.events == []
-        assert NULL_BUS.emitted == 0
+        replay([ObsEvent(1.0, "commit", 0)], NULL_BUS)  # a no-op
 
 
 class TestModuleState:
@@ -121,17 +104,16 @@ class TestModuleState:
         assert not obs_active()
 
     def test_enable_disable_roundtrip(self):
-        bus = enable_tracing()
-        try:
-            assert get_bus() is bus and bus.enabled
+        # capture() is the only on-switch: live inside, null after
+        with capture() as cap:
+            assert get_bus() is cap.bus and cap.bus.enabled
             assert obs_active()
-        finally:
-            disable_tracing()
         assert get_bus() is NULL_BUS
+        assert not obs_active()
 
     def test_use_bus_restores_previous(self):
         inner = TraceBus()
-        with use_bus(inner):
+        with _use_bus(inner):
             assert get_bus() is inner
         assert get_bus() is NULL_BUS
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentTimeoutError, SimulationError
+from repro.obs import PhaseProfiler
 from repro.sim.engine import Event, EventQueue, Simulator
 
 
@@ -253,17 +254,20 @@ class TestSimulator:
         sim = Simulator()
         sim.at(1.0, lambda: None, label="x")
         sim.run()
-        assert sim.event_profile() == {}
+        assert sim.profiler is None
+        assert sim.events_fired == 1
 
     def test_event_profile_counts_labels(self):
-        sim = Simulator(profile=True)
+        # per-label fire counts come from an attached PhaseProfiler
+        sim = Simulator()
+        sim.profiler = profiler = PhaseProfiler()
         for t in range(3):
             sim.at(float(t), lambda: None, label="tick")
         sim.at(5.0, lambda: None)  # unlabeled
         sim.run()
-        profile = sim.event_profile()
-        assert profile["tick"] == 3
-        assert profile["<unlabeled>"] == 1
+        fired = {label: cell[0] for label, cell in profiler.handlers.items()}
+        assert fired == {"tick": 3, "<unlabeled>": 1}
+        assert profiler.loop_seconds >= profiler.handler_seconds >= 0.0
 
     def test_wall_deadline_expired_raises(self):
         sim = Simulator()

@@ -1,30 +1,23 @@
-"""Tests for event timelines: a trace bus feeding a ListSink, and the HTM
-machine's emission onto it."""
+"""Tests for event timelines: a capture recording a trace bus, and the
+HTM machine's emission onto it."""
 
 from __future__ import annotations
 
 from repro.htm import Machine, MachineParams, RandDelay
-from repro.obs import NULL_BUS, ListSink, ObsEvent, TraceBus, get_bus, use_bus
+from repro.obs import NULL_BUS, ObsEvent, TraceBus, capture, get_bus
 from repro.workloads import CounterWorkload
 
 
-def _recording_bus() -> tuple[TraceBus, ListSink]:
-    bus, sink = TraceBus(), ListSink()
-    bus.subscribe(sink)
-    return bus, sink
-
-
 def _run_traced(n_cores: int, seed: int, horizon: float, **workload_kw):
-    """Run a counter machine built under a recording bus (the machine
-    binds the active bus at construction)."""
-    bus, sink = _recording_bus()
-    with use_bus(bus):
+    """Run a counter machine built inside a capture (the machine binds
+    the active bus at construction)."""
+    with capture() as cap:
         machine = Machine(MachineParams(n_cores=n_cores), lambda i: RandDelay())
     workload = CounterWorkload(**workload_kw)
     machine.load(workload, seed=seed)
     stats = machine.run(horizon)
     workload.verify(machine)
-    return sink.events, stats
+    return cap.events, stats
 
 
 def _counts(events) -> dict[str, int]:
@@ -35,29 +28,23 @@ def _counts(events) -> dict[str, int]:
 
 
 class TestTracer:
-    """The recording recipe: ``TraceBus`` + ``ListSink``."""
+    """A live ``TraceBus`` keeps its own event list."""
 
     def test_emit_and_query(self):
-        bus, sink = _recording_bus()
+        bus = TraceBus()
         bus.emit(10.0, "abort", 1, reason="capacity")
         bus.emit(20.0, "commit", 2, duration=50)
-        assert len(sink.events) == 2
-        assert _counts(sink.events) == {"abort": 1, "commit": 1}
-        assert [e.kind for e in sink.events if e.kind == "abort"] == ["abort"]
+        assert len(bus.events) == 2
+        assert _counts(bus.events) == {"abort": 1, "commit": 1}
+        assert [e.kind for e in bus.events if e.kind == "abort"] == ["abort"]
 
     def test_render(self):
-        bus, sink = _recording_bus()
+        bus = TraceBus()
         bus.emit(1.5, "conflict", 3, line=7, k=2)
-        text = "\n".join(e.format() for e in sink.events)
+        text = "\n".join(e.format() for e in bus.events)
         assert "core3" in text
         assert "conflict" in text
         assert "line=7" in text
-
-    def test_clear(self):
-        bus, sink = _recording_bus()
-        bus.emit(1.0, "x", 0)
-        sink.clear()
-        assert sink.events == []
 
     def test_event_format(self):
         event = ObsEvent(12.0, "abort", 4, {"reason": "cycle"})
@@ -95,4 +82,3 @@ class TestMachineIntegration:
         machine.load(CounterWorkload(ops_limit=10), seed=1)
         machine.run(20_000.0)
         assert machine.bus is NULL_BUS
-        assert NULL_BUS.emitted == 0
